@@ -91,8 +91,7 @@ int main(int argc, char** argv) {
 
   for (const Protocol& protocol : protocols) {
     util::Table table({"threads", "shards", "engine", "wakeups", "Marr/s",
-                       "speedup", "msgs", "msgs/arrival", "shard max/min",
-                       "route hit%"});
+                       "speedup", "msgs", "msgs/arrival", "shard max/min"});
     std::set<std::string> modes;  // make_engine decisions seen this sweep
     double serial_rate = 0.0;
     for (const std::uint64_t shards : shards_sweep) {
@@ -115,7 +114,6 @@ int main(int argc, char** argv) {
           double best_seconds = 0.0;
           std::uint64_t msgs = 0;
           double balance = 1.0;
-          double route_hit = -1.0;
           const char* engine_name = "?";
           for (std::uint64_t run = 0; run < args.runs; ++run) {
             auto run_one = [&](auto& system) {
@@ -140,15 +138,6 @@ int main(int argc, char** argv) {
               balance = mn == 0 ? 0.0
                                 : static_cast<double>(mx) /
                                       static_cast<double>(mn);
-              const std::uint64_t lookups =
-                  snap.counter_or("deployment.route_cache.lookups");
-              if (lookups > 0) {
-                route_hit =
-                    100.0 *
-                    static_cast<double>(
-                        snap.counter_or("deployment.route_cache.hits")) /
-                    static_cast<double>(lookups);
-              }
             };
             if (protocol.with_replacement) {
               core::WithReplacementSystem system(config);
@@ -173,8 +162,7 @@ int main(int argc, char** argv) {
                          util::fmt(static_cast<double>(msgs) /
                                        static_cast<double>(n),
                                    4),
-                         util::fmt(balance, 3),
-                         route_hit < 0.0 ? "-" : util::fmt_fixed(route_hit, 1)});
+                         util::fmt(balance, 3)});
         }
       }
     }

@@ -17,8 +17,7 @@
 //     tests/sliding_shard_test.cpp; this column demonstrates it at
 //     bench scale). The lazy s-copy protocol's per-shard transients
 //     make it slightly lower;
-//   * the RoutedSite ring-lookup cache hit rate and the per-shard
-//     message balance.
+//   * the per-shard message balance.
 //
 // With --threads > 1 the sharded rows exercise lockstep waves on the
 // lossy wire (traces stay bit-identical to serial; the determinism
@@ -42,7 +41,6 @@ struct PointResult {
   double seconds = 0.0;
   std::uint64_t msgs = 0;
   double agree = 100.0;
-  double route_hit = -1.0;
   double balance = 1.0;
   const char* engine = "?";
   const char* mode = "?";  ///< Engine::mode_reason of the sharded run
@@ -146,11 +144,6 @@ int main(int argc, char** argv) {
       result.agree = 100.0 * static_cast<double>(agree) /
                      static_cast<double>(slots);
       result.msgs = sharded->bus().counters().total;
-      if (sharded->route_cache_lookups() > 0) {
-        result.route_hit = 100.0 *
-                           static_cast<double>(sharded->route_cache_hits()) /
-                           static_cast<double>(sharded->route_cache_lookups());
-      }
       std::uint64_t mx = 0, mn = ~0ULL;
       for (std::uint32_t j = 0; j < sharded->bus().num_coordinators(); ++j) {
         const std::uint64_t total =
@@ -178,8 +171,7 @@ int main(int argc, char** argv) {
 
   for (const Protocol& protocol : protocols) {
     util::Table table({"wire", "shards", "engine", "Marr/s", "msgs",
-                       "msgs/arrival", "agree%", "route hit%",
-                       "shard max/min"});
+                       "msgs/arrival", "agree%", "shard max/min"});
     std::set<std::string> modes;  // make_engine decisions seen this sweep
     for (const Wire& wire : wires) {
       for (const std::uint64_t num_shards : shards_sweep) {
@@ -206,7 +198,6 @@ int main(int argc, char** argv) {
              util::fmt(static_cast<double>(r.msgs) / static_cast<double>(n),
                        4),
              util::fmt_fixed(r.agree, 1),
-             r.route_hit < 0.0 ? "-" : util::fmt_fixed(r.route_hit, 1),
              util::fmt(r.balance, 3)});
       }
     }

@@ -120,18 +120,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Per-shard accounting: the message counters partition exactly, and
-  // the RoutedSite ring-lookup cache absorbed most routing decisions.
+  // Per-shard accounting: the message counters partition exactly.
   std::cout << "\nwire messages: " << system.bus().counters().total << "\n";
   for (std::uint32_t j = 0; j < system.num_shards(); ++j) {
     std::cout << "  shard " << j << ": "
               << system.bus().coordinator_counters(j).total << "\n";
   }
-  const auto lookups = system.route_cache_lookups();
-  std::cout << "route-cache hit rate: "
-            << 100.0 * static_cast<double>(system.route_cache_hits()) /
-                   static_cast<double>(lookups)
-            << "% of " << lookups << " lookups\n";
   const auto& net = dynamic_cast<const net::SimNetwork&>(system.bus());
   std::cout << "drops / retransmissions: " << net.stats().drops << " / "
             << net.stats().retransmissions << "\n";

@@ -1,6 +1,9 @@
 #include "core/bottom_s_sample.h"
 
+#include <algorithm>
+#include <functional>
 #include <stdexcept>
+#include <utility>
 
 namespace dds::core {
 
@@ -12,34 +15,30 @@ BottomSSample::BottomSSample(std::size_t capacity) : capacity_(capacity) {
 
 BottomSSample::Outcome BottomSSample::offer(stream::Element element,
                                             std::uint64_t hash) {
-  if (members_.contains(element)) return Outcome::kDuplicate;
-  if (by_hash_.size() < capacity_) {
-    by_hash_.emplace(hash, element);
-    members_.insert(element);
+  // h is a function, so a sampled element sits at exactly its (hash,
+  // element) position: one binary search answers both membership and
+  // where a new entry goes.
+  const auto pos = std::ranges::lower_bound(
+      entries_, std::pair{hash, element}, std::less<>{},
+      [](const Entry& e) { return std::pair{e.hash, e.element}; });
+  if (pos != entries_.end() && pos->hash == hash && pos->element == element) {
+    return Outcome::kDuplicate;
+  }
+  if (entries_.size() < capacity_) {
+    entries_.insert(pos, Entry{element, hash});
     return Outcome::kInserted;
   }
-  auto last = std::prev(by_hash_.end());
-  if (hash >= last->first) return Outcome::kRejected;
-  members_.erase(last->second);
-  by_hash_.erase(last);
-  by_hash_.emplace(hash, element);
-  members_.insert(element);
+  if (hash >= entries_.back().hash) return Outcome::kRejected;
+  // Evict the largest entry by shifting [pos, back) up one slot.
+  std::move_backward(pos, entries_.end() - 1, entries_.end());
+  *pos = Entry{element, hash};
   return Outcome::kReplaced;
-}
-
-std::vector<BottomSSample::Entry> BottomSSample::entries() const {
-  std::vector<Entry> out;
-  out.reserve(by_hash_.size());
-  for (const auto& [hash, element] : by_hash_) {
-    out.push_back(Entry{element, hash});
-  }
-  return out;
 }
 
 std::vector<stream::Element> BottomSSample::elements() const {
   std::vector<stream::Element> out;
-  out.reserve(by_hash_.size());
-  for (const auto& [hash, element] : by_hash_) out.push_back(element);
+  out.reserve(entries_.size());
+  for (const Entry& e : entries_) out.push_back(e.element);
   return out;
 }
 

@@ -6,12 +6,17 @@
 // from S(t) that yield the s smallest elements in h(S(t))" — a bottom-s
 // (KMV) sketch, which is simultaneously a uniform random sample without
 // replacement from the distinct elements.
+//
+// Storage is one vector of at most s entries sorted by (hash, element):
+// offer() is a binary search plus a shift of at most s entries, and a
+// query copies one contiguous block. The (hash, element) order is the
+// iteration order of the std::set this replaced, so entries() and every
+// image built from it are unchanged.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <set>
-#include <unordered_set>
 #include <vector>
 
 #include "hash/hash_function.h"
@@ -41,35 +46,36 @@ class BottomSSample {
   Outcome offer(stream::Element element, std::uint64_t hash);
 
   std::size_t capacity() const noexcept { return capacity_; }
-  std::size_t size() const noexcept { return by_hash_.size(); }
+  std::size_t size() const noexcept { return entries_.size(); }
   bool full() const noexcept { return size() == capacity_; }
+  /// O(s) scan; called once per report, never per arrival.
   bool contains(stream::Element element) const {
-    return members_.contains(element);
+    return std::ranges::any_of(
+        entries_, [element](const Entry& e) { return e.element == element; });
   }
 
   /// Largest hash in the sample; asserts non-empty.
   std::uint64_t max_hash() const {
-    assert(!by_hash_.empty());
-    return std::prev(by_hash_.end())->first;
+    assert(!entries_.empty());
+    return entries_.back().hash;
   }
 
   /// The s-th smallest hash observed so far, or kHashMax while fewer
   /// than s distinct elements have been offered. This is u(t).
   std::uint64_t threshold() const noexcept {
-    return full() && capacity_ > 0 ? std::prev(by_hash_.end())->first
-                                   : hash::kHashMax;
+    return full() ? entries_.back().hash : hash::kHashMax;
   }
 
-  /// Entries in hash-ascending order.
-  std::vector<Entry> entries() const;
+  /// Entries in (hash, element)-ascending order. Returned by value:
+  /// callers routinely read it off a temporary sample.
+  std::vector<Entry> entries() const { return entries_; }
 
   /// Just the elements, hash-ascending.
   std::vector<stream::Element> elements() const;
 
  private:
   std::size_t capacity_;
-  std::set<std::pair<std::uint64_t, stream::Element>> by_hash_;
-  std::unordered_set<stream::Element> members_;
+  std::vector<Entry> entries_;  ///< sorted by (hash, element)
 };
 
 }  // namespace dds::core

@@ -32,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/infinite_site.h"
 #include "core/shard_router.h"
 #include "hash/hash_function.h"
 #include "net/config.h"
@@ -114,14 +115,24 @@ struct SlidingSystemConfig : SystemConfig {
 
 /// Site wrapper for sharded-coordinator deployments: one inner protocol
 /// site per coordinator shard. Arrivals route by element through the
-/// ShardRouter (so shard j sees exactly its partition's substream),
-/// fronted by a per-site ShardCache — real streams repeat elements, so
-/// most ring lookups come out of the cache (the bench tables surface
-/// the hit rate). Coordinator replies route back by sender id. Per-slot
-/// expiry runs on every copy. A RoutedSite is driven by exactly one
-/// engine thread, so the cache needs no synchronization.
+/// ShardRouter (so shard j sees exactly its partition's substream).
+/// Coordinator replies route back by sender id. Per-slot expiry runs on
+/// every copy.
+///
+/// Infinite-window copies get Algorithm 1's order in front of the
+/// router: hash once (every copy shares the function), and drop the
+/// arrival when the hash is at or above every copy's u_i — no copy
+/// could report it, whichever owns it. The thresholds are read live on
+/// each arrival and nothing about them is cached, so a reply, a
+/// broadcast, a reset or an elastic rebuild is seen by the next
+/// arrival. Only survivors pay for the ring lookup. Sliding copies must
+/// see every arrival (a new arrival is never dominated) and keep the
+/// plain route.
 template <typename Site>
 class RoutedSite final : public sim::StreamNode {
+  static constexpr bool kThresholdFilter =
+      std::is_same_v<Site, InfiniteWindowSite>;
+
  public:
   RoutedSite(const ShardRouter& router, sim::NodeId first_coordinator)
       : router_(router), first_coordinator_(first_coordinator) {}
@@ -132,7 +143,20 @@ class RoutedSite final : public sim::StreamNode {
 
   void on_element(std::uint64_t element, sim::Slot t,
                   net::Transport& bus) override {
-    copies_[route_cache_.owner(router_, element)]->on_element(element, t, bus);
+    if constexpr (kThresholdFilter) {
+      const std::uint64_t hv = copies_.front()->hash_fn()(element);
+      bool reportable = false;
+      for (const auto& copy : copies_) {
+        reportable |= hv < copy->local_threshold();
+      }
+      if (!reportable) return;
+      Site& owner = *copies_[router_.owner(element)];
+      if (hv < owner.local_threshold() && owner.admits(element)) {
+        owner.on_element_hashed(element, hv, bus);
+      }
+    } else {
+      copies_[router_.owner(element)]->on_element(element, t, bus);
+    }
   }
 
   void on_element_batch(std::span<const std::uint64_t> elements, sim::Slot t,
@@ -144,9 +168,9 @@ class RoutedSite final : public sim::StreamNode {
     const std::size_t n = elements.size();
     std::size_t i = 0;
     while (i < n) {
-      const auto owner = route_cache_.owner(router_, elements[i]);
+      const auto owner = router_.owner(elements[i]);
       std::size_t j = i + 1;
-      while (j < n && route_cache_.owner(router_, elements[j]) == owner) ++j;
+      while (j < n && router_.owner(elements[j]) == owner) ++j;
       copies_[owner]->on_element_batch(elements.subspan(i, j - i), t, bus);
       i = j;
     }
@@ -171,22 +195,13 @@ class RoutedSite final : public sim::StreamNode {
 
   std::size_t num_copies() const noexcept { return copies_.size(); }
 
-  /// Drops every copy and invalidates the route cache (whose entries
-  /// went stale with the ring) — the elastic-resize rebuild step. The
-  /// RoutedSite object itself stays put: the engine and transport keep
-  /// pointing at it.
-  void reset_copies() {
-    copies_.clear();
-    route_cache_.clear();
-  }
-
-  const ShardCache& route_cache() const noexcept { return route_cache_; }
+  /// Drops every copy — the elastic-resize rebuild step. The RoutedSite
+  /// object itself stays put: the engine and transport keep pointing at
+  /// it.
+  void reset_copies() { copies_.clear(); }
 
   /// Speculation snapshots: capable iff every shard copy is. The image
-  /// is the length-prefixed concatenation of the copies' images plus the
-  /// FULL route cache state — a rolled-back site re-executing against a
-  /// warmer cache would diverge the deployment.route_cache.* metrics
-  /// from the serial run.
+  /// is the length-prefixed concatenation of the copies' images.
   bool speculation_capable() const noexcept override {
     for (const auto& copy : copies_) {
       if (!copy->speculation_capable()) return false;
@@ -202,7 +217,6 @@ class RoutedSite final : public sim::StreamNode {
       util::put_u64(out, scratch.size());
       out.insert(out.end(), scratch.begin(), scratch.end());
     }
-    route_cache_.save_state(out);
   }
   void restore_speculation_state(
       std::span<const std::uint8_t> image) override {
@@ -221,14 +235,12 @@ class RoutedSite final : public sim::StreamNode {
       copy->restore_speculation_state(image.subspan(pos, len));
       pos += len;
     }
-    route_cache_.restore_state(image.subspan(pos));
   }
 
  private:
   const ShardRouter& router_;
   sim::NodeId first_coordinator_;
   std::vector<std::unique_ptr<Site>> copies_;
-  ShardCache route_cache_;
 };
 
 /// Swallows messages addressed to a killed coordinator shard. The
@@ -534,6 +546,13 @@ class Deployment {
   /// its new owner copy, then clear + resync every coordinator so the
   /// merged answer is exact again before the next arrival. Serial /
   /// lockstep engines only (num_threads == 1).
+  ///
+  /// The infinite protocol (a coordinator with sample() + restore())
+  /// migrates coordinator state instead, since its sites hold only u_i:
+  /// the union of the shard samples contains the global bottom-s, each
+  /// member is restored into its new owner shard, and the fresh site
+  /// copies restart at u_i = 1. Every later global bottom-s member is
+  /// either restored or reported, so the merged answer stays exact.
   void add_shard() { resize_shards(router_.num_shards() + 1); }
 
   /// Shrinks the deployment by its LAST shard, live (surviving shard
@@ -543,23 +562,6 @@ class Deployment {
   /// image additionally checkpoint it BEFORE calling this (the
   /// Supervisor's remove path does).
   void remove_shard() { resize_shards(router_.num_shards() - 1); }
-
-  // ---- routing-cache statistics (sharded deployments) --------------
-  /// ShardCache hits across all routed sites (0 when num_shards == 1 —
-  /// unsharded deployments route nothing).
-  std::uint64_t route_cache_hits() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& site : routed_sites_) total += site->route_cache().hits();
-    return total;
-  }
-  /// ShardCache lookups across all routed sites (== arrivals routed).
-  std::uint64_t route_cache_lookups() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& site : routed_sites_) {
-      total += site->route_cache().lookups();
-    }
-    return total;
-  }
 
   // ---- observability -----------------------------------------------
   /// The deployment's metrics registry + tracer bundle. Always present;
@@ -571,8 +573,7 @@ class Deployment {
  private:
   /// Registers every layer with the registry and hands the tracer down:
   /// transport (wire counters, delivery/flush/drop events), engine
-  /// (waves/stalls, "engine." prefix), deployment (route cache, site
-  /// state), and — when the protocol's node types expose them — the
+  /// (waves/stalls, "engine." prefix), deployment (site state), and — when the protocol's node types expose them — the
   /// hybrid-substrate and pooled-sweep statistics.
   void bind_observability() {
     obs::MetricsRegistry* registry = obs_->registry();
@@ -580,10 +581,6 @@ class Deployment {
     transport_->bind_observability(registry, tracer);
     engine_->bind_observability(registry, tracer);
     if (registry == nullptr) return;
-    registry->counter_fn("deployment.route_cache.hits",
-                         [this] { return route_cache_hits(); });
-    registry->counter_fn("deployment.route_cache.lookups",
-                         [this] { return route_cache_lookups(); });
     registry->gauge("site.state.total", [this] {
       return static_cast<double>(total_site_state());
     });
@@ -608,24 +605,28 @@ class Deployment {
 
   /// The shared grow/shrink body (new_shards differs from the current
   /// count by exactly one). See add_shard() for the algorithm sketch;
-  /// correctness of the resync step: after migration every site copy
-  /// holds exactly the candidates of its (site, new-partition)
+  /// correctness of the candidate resync: after migration every site
+  /// copy holds exactly the candidates of its (site, new-partition)
   /// substream, and every member of the global answer is in its own
   /// copy's local candidate set, so clear + full re-report rebuilds
   /// each coordinator's state exactly.
   void resize_shards(std::uint32_t new_shards) {
-    constexpr bool kElasticSites =
-        requires(Site& s, net::Transport& b, const treap::Candidate& c) {
+    constexpr bool kCandidateMigration =
+        requires(Site& s, Coordinator& c, net::Transport& b,
+                 const treap::Candidate& x) {
           { s.snapshot_candidates() } -> std::same_as<std::vector<treap::Candidate>>;
-          s.absorb(c);
+          s.absorb(x);
           s.resync(b);
+          c.clear();
         };
-    constexpr bool kClearableCoordinator =
-        requires(Coordinator& c) { c.clear(); };
-    if constexpr (!(kElasticSites && kClearableCoordinator)) {
+    constexpr bool kSampleMigration = requires(Coordinator& c) {
+      c.restore(c.sample().entries(), hash::kHashMax);
+    };
+    if constexpr (!(kCandidateMigration || kSampleMigration)) {
       throw std::logic_error(
           "Deployment: this protocol has no elastic-migration hooks "
-          "(snapshot_candidates/absorb/resync + coordinator clear)");
+          "(snapshot_candidates/absorb/resync + coordinator clear, or "
+          "coordinator sample/restore)");
     } else {
       if (routed_sites_.empty()) {
         throw std::logic_error(
@@ -642,58 +643,82 @@ class Deployment {
             "Deployment: respawn dead shards before resizing");
       }
       quiesce();
-      // Snapshot every copy's candidates; the tuples are re-absorbed
-      // into their NEW owner copies below, so elements whose partition
-      // moved carry their exact expiry state across, and copies they
-      // left are rebuilt fresh (no duplicate answers in the merge).
-      std::vector<std::vector<treap::Candidate>> saved(config_.num_sites);
-      for (std::uint32_t i = 0; i < config_.num_sites; ++i) {
-        for (std::uint32_t j = 0; j < old_shards; ++j) {
-          auto tuples = routed_sites_[i]->copy(j).snapshot_candidates();
-          saved[i].insert(saved[i].end(), tuples.begin(), tuples.end());
+      if constexpr (kCandidateMigration) {
+        // Snapshot every copy's candidates; the tuples are re-absorbed
+        // into their NEW owner copies below, so elements whose partition
+        // moved carry their exact expiry state across, and copies they
+        // left are rebuilt fresh (no duplicate answers in the merge).
+        std::vector<std::vector<treap::Candidate>> saved(config_.num_sites);
+        for (std::uint32_t i = 0; i < config_.num_sites; ++i) {
+          for (std::uint32_t j = 0; j < old_shards; ++j) {
+            auto tuples = routed_sites_[i]->copy(j).snapshot_candidates();
+            saved[i].insert(saved[i].end(), tuples.begin(), tuples.end());
+          }
         }
-      }
-      if (new_shards > old_shards) {
-        router_.add_shard();
-        transport_->add_coordinator();
-        coordinators_.push_back(Traits::make_coordinator(
-            transport_->coordinator_id(new_shards - 1), new_shards - 1,
-            config_, shared_, options_));
-        transport_->attach(transport_->coordinator_id(new_shards - 1),
-                           coordinators_.back().get());
-        alive_.push_back(1);
+        resize_topology(new_shards);
+        for (std::uint32_t i = 0; i < config_.num_sites; ++i) {
+          for (const treap::Candidate& c : saved[i]) {
+            routed_sites_[i]->copy(router_.owner(c.element)).absorb(c);
+          }
+        }
+        // Coordinator state cannot be split along the new partition from
+        // the outside (thresholds and pools are partition-dependent), so
+        // re-derive it: clear everything and have every copy re-report
+        // its current local state. Exact — see the method comment.
+        for (auto& coordinator : coordinators_) coordinator->clear();
+        for (std::uint32_t i = 0; i < config_.num_sites; ++i) {
+          for (std::uint32_t j = 0; j < new_shards; ++j) {
+            routed_sites_[i]->copy(j).resync(*transport_);
+          }
+        }
       } else {
-        // Quiesced above: the departing shard's batches flushed and its
-        // in-flight deliveries landed, so shrinking the tables now
-        // strands nothing (the chaos tests pin stranded() == 0).
-        transport_->remove_last_coordinator();
-        router_.remove_last_shard();
-        coordinators_.pop_back();
-        alive_.pop_back();
-      }
-      config_.num_shards = new_shards;
-      for (std::uint32_t i = 0; i < config_.num_sites; ++i) {
-        routed_sites_[i]->reset_copies();
-        for (std::uint32_t j = 0; j < new_shards; ++j) {
-          routed_sites_[i]->add_copy(
-              Traits::make_site(i, transport_->coordinator_id(j), config_,
-                                shared_, options_));
+        auto saved = coordinators_.front()->sample().entries();
+        for (std::uint32_t j = 1; j < old_shards; ++j) {
+          const auto entries = coordinators_[j]->sample().entries();
+          saved.insert(saved.end(), entries.begin(), entries.end());
         }
-        for (const treap::Candidate& c : saved[i]) {
-          routed_sites_[i]->copy(router_.owner(c.element)).absorb(c);
+        resize_topology(new_shards);
+        std::vector<decltype(saved)> owned(new_shards);
+        for (const auto& entry : saved) {
+          owned[router_.owner(entry.element)].push_back(entry);
         }
-      }
-      // Coordinator state cannot be split along the new partition from
-      // the outside (thresholds and pools are partition-dependent), so
-      // re-derive it: clear everything and have every copy re-report
-      // its current local state. Exact — see the method comment.
-      for (auto& coordinator : coordinators_) coordinator->clear();
-      for (std::uint32_t i = 0; i < config_.num_sites; ++i) {
         for (std::uint32_t j = 0; j < new_shards; ++j) {
-          routed_sites_[i]->copy(j).resync(*transport_);
+          coordinators_[j]->restore(owned[j], hash::kHashMax);
         }
       }
       transport_->finish();
+    }
+  }
+
+  /// Resizes the ring, the transport's coordinator table and the
+  /// coordinator list by one shard, then rebuilds every routed site
+  /// with fresh copies for the new partition. The wire must be quiesced.
+  void resize_topology(std::uint32_t new_shards) {
+    if (new_shards > router_.num_shards()) {
+      router_.add_shard();
+      transport_->add_coordinator();
+      coordinators_.push_back(Traits::make_coordinator(
+          transport_->coordinator_id(new_shards - 1), new_shards - 1, config_,
+          shared_, options_));
+      transport_->attach(transport_->coordinator_id(new_shards - 1),
+                         coordinators_.back().get());
+      alive_.push_back(1);
+    } else {
+      // Quiesced: the departing shard's batches flushed and its
+      // in-flight deliveries landed, so shrinking the tables now strands
+      // nothing (the chaos tests pin stranded() == 0).
+      transport_->remove_last_coordinator();
+      router_.remove_last_shard();
+      coordinators_.pop_back();
+      alive_.pop_back();
+    }
+    config_.num_shards = new_shards;
+    for (std::uint32_t i = 0; i < config_.num_sites; ++i) {
+      routed_sites_[i]->reset_copies();
+      for (std::uint32_t j = 0; j < new_shards; ++j) {
+        routed_sites_[i]->add_copy(Traits::make_site(
+            i, transport_->coordinator_id(j), config_, shared_, options_));
+      }
     }
   }
 

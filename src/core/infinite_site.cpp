@@ -16,24 +16,25 @@ InfiniteWindowSite::InfiniteWindowSite(sim::NodeId id, sim::NodeId coordinator,
 
 void InfiniteWindowSite::on_element(stream::Element element, sim::Slot /*t*/,
                                     net::Transport& bus) {
-  if (!admits(element)) return;
-  on_element_hashed(element, hash_fn_(element), bus);
+  // Algorithm 1's whole cost for an arrival that cannot report: one
+  // hash, one compare. The suppression probe runs only on survivors.
+  const std::uint64_t hv = hash_fn_(element);
+  if (hv >= u_local_ || !admits(element)) return;
+  on_element_hashed(element, hv, bus);
 }
 
 void InfiniteWindowSite::on_element_hashed(stream::Element element,
                                            std::uint64_t hv,
                                            net::Transport& bus) {
-  if (hv < u_local_) {
-    sim::Message msg;
-    msg.from = id_;
-    msg.to = coordinator_;
-    msg.type = sim::MsgType::kReportElement;
-    msg.instance = instance_;
-    msg.a = element;
-    msg.b = hv;
-    bus.send(msg);
-    pending_report_ = element;
-  }
+  sim::Message msg;
+  msg.from = id_;
+  msg.to = coordinator_;
+  msg.type = sim::MsgType::kReportElement;
+  msg.instance = instance_;
+  msg.a = element;
+  msg.b = hv;
+  bus.send(msg);
+  pending_report_ = element;
 }
 
 void InfiniteWindowSite::on_element_batch(
@@ -43,7 +44,7 @@ void InfiniteWindowSite::on_element_batch(
   if (hash_scratch_.size() < n) hash_scratch_.resize(n);
   hash_fn_.hash_batch(elements.data(), n, hash_scratch_.data());
   for (std::size_t i = 0; i < n; ++i) {
-    if (admits(elements[i])) {
+    if (hash_scratch_[i] < u_local_ && admits(elements[i])) {
       on_element_hashed(elements[i], hash_scratch_[i], bus);
     }
     // Per-element drain boundary: the reply to a report must lower

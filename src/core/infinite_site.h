@@ -51,16 +51,17 @@ class InfiniteWindowSite final : public sim::StreamNode {
                         net::Transport& bus) override;
   void on_message(const sim::Message& msg, net::Transport& bus) override;
 
-  /// on_element with the hash precomputed — the batched ingest entry
-  /// (WithReplacementSite hashes all copies x elements up front). The
-  /// caller owns the per-element drain boundary and must gate on
-  /// admits() first, like on_element's early return.
+  /// Reports `element` with its precomputed hash `hv` — on_element's
+  /// tail, for callers that hash up front (the batch paths and the
+  /// sharded RoutedSite filter). The caller owns the per-element drain
+  /// boundary and must gate exactly like on_element: hv <
+  /// local_threshold() first, then admits().
   void on_element_hashed(stream::Element element, std::uint64_t hv,
                          net::Transport& bus);
 
   /// False iff the suppression extension knows `element` is already
-  /// sampled (on_element's early return; batch paths check before
-  /// spending a precomputed hash).
+  /// sampled. Probed only after the threshold compare passes, so it
+  /// costs nothing on the arrivals that cannot report.
   bool admits(stream::Element element) const {
     return !(suppress_duplicates_ && known_sampled_.contains(element));
   }

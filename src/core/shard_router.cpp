@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/bytes.h"
 #include "util/rng.h"
 
 namespace dds::core {
@@ -58,69 +57,6 @@ std::uint32_t ShardRouter::shard_of(stream::Element e) const noexcept {
       [](const Point& p, std::uint64_t v) { return p.position < v; });
   if (it == ring_.end()) it = ring_.begin();  // wrap around the ring
   return it->shard;
-}
-
-ShardCache::ShardCache(std::size_t entries) {
-  std::size_t sets = 1;
-  while (sets * 2 < std::max<std::size_t>(entries, 2)) sets *= 2;
-  set_mask_ = sets - 1;
-  ways_.resize(2 * sets);
-  mru_.resize(sets, 0);
-}
-
-std::uint32_t ShardCache::owner(const ShardRouter& router, stream::Element e) {
-  ++lookups_;
-  // Mix so clustered element keys spread over the sets; cheap relative
-  // to the ring's mix64 + binary search.
-  const std::size_t set = (e ^ (e >> 17) ^ (e >> 41)) & set_mask_;
-  Entry* const way0 = &ways_[2 * set];
-  for (std::size_t w = 0; w < 2; ++w) {
-    if (way0[w].valid && way0[w].element == e) {
-      ++hits_;
-      mru_[set] = static_cast<std::uint8_t>(w);
-      return way0[w].shard;
-    }
-  }
-  const std::uint32_t shard = router.owner(e);
-  const std::size_t victim = mru_[set] ^ 1;  // evict the LRU way
-  way0[victim] = Entry{e, shard, true};
-  mru_[set] = static_cast<std::uint8_t>(victim);
-  return shard;
-}
-
-void ShardCache::clear() {
-  for (Entry& e : ways_) e.valid = false;
-}
-
-void ShardCache::save_state(std::vector<std::uint8_t>& out) const {
-  util::put_u64(out, ways_.size());
-  for (const Entry& e : ways_) {
-    util::put_u64(out, e.element);
-    util::put_u64(out, (std::uint64_t{e.shard} << 1) | (e.valid ? 1 : 0));
-  }
-  for (const std::uint8_t m : mru_) out.push_back(m);
-  util::put_u64(out, hits_);
-  util::put_u64(out, lookups_);
-}
-
-void ShardCache::restore_state(std::span<const std::uint8_t> image) {
-  std::size_t pos = 0;
-  const std::uint64_t n = util::get_u64(image, pos);
-  if (n != ways_.size()) {
-    throw std::logic_error("ShardCache::restore_state: geometry mismatch");
-  }
-  for (Entry& e : ways_) {
-    e.element = util::get_u64(image, pos);
-    const std::uint64_t packed = util::get_u64(image, pos);
-    e.shard = static_cast<std::uint32_t>(packed >> 1);
-    e.valid = (packed & 1) != 0;
-  }
-  if (pos + mru_.size() > image.size()) {
-    throw std::out_of_range("ShardCache::restore_state: image truncated");
-  }
-  for (std::uint8_t& m : mru_) m = image[pos++];
-  hits_ = util::get_u64(image, pos);
-  lookups_ = util::get_u64(image, pos);
 }
 
 double ShardRouter::disagreement(const ShardRouter& other,

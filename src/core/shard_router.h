@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "stream/element.h"
@@ -76,52 +75,6 @@ class ShardRouter {
   std::uint32_t replicas_;
   std::uint64_t salt_;
   std::vector<Point> ring_;  // sorted by position
-};
-
-/// A small LRU cache over ShardRouter::owner(), for callers that route
-/// every arrival (RoutedSite): real streams are heavy on repeated
-/// elements, so most ring binary searches can be answered from a few
-/// hundred cached (element -> shard) pairs. 2-way set-associative with
-/// per-set LRU; the ring is immutable for the router's lifetime, so
-/// entries never go stale. Hit statistics feed the bench tables
-/// (abl11/abl12 "route hit%" column).
-class ShardCache {
- public:
-  /// `entries` is rounded up to a power of two (>= 2); memory is
-  /// entries * 16 bytes.
-  explicit ShardCache(std::size_t entries = 256);
-
-  /// Cached router.owner(e).
-  std::uint32_t owner(const ShardRouter& router, stream::Element e);
-
-  /// Invalidates every entry (statistics survive). Required after the
-  /// ring resizes — an elastic add/remove_shard makes cached owners
-  /// stale, the one exception to the "ring is immutable" contract above.
-  void clear();
-
-  std::uint64_t hits() const noexcept { return hits_; }
-  std::uint64_t lookups() const noexcept { return lookups_; }
-
-  /// Full-state save/restore for speculation snapshots (RoutedSite).
-  /// The whole cache — ways, MRU bits, and statistics — must round-trip:
-  /// a rolled-back site that re-executed against a warmer cache would
-  /// report different hit counts than a serial run. Geometry (entry
-  /// count) is fixed per instance, so only contents are serialized.
-  void save_state(std::vector<std::uint8_t>& out) const;
-  void restore_state(std::span<const std::uint8_t> image);
-
- private:
-  struct Entry {
-    stream::Element element = 0;
-    std::uint32_t shard = 0;
-    bool valid = false;
-  };
-
-  std::size_t set_mask_;       // (num_sets - 1); each set holds 2 ways
-  std::vector<Entry> ways_;    // 2 * num_sets, set i at [2i, 2i+1]
-  std::vector<std::uint8_t> mru_;  // per set: which way was used last
-  std::uint64_t hits_ = 0;
-  std::uint64_t lookups_ = 0;
 };
 
 }  // namespace dds::core

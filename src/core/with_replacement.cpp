@@ -35,8 +35,9 @@ void WithReplacementSite::on_element_batch(
     // contract): every copy's report precedes any reply in the trace.
     for (std::size_t j = 0; j < s; ++j) {
       InfiniteWindowSite& copy = copies_[j];
-      if (copy.admits(elements[i])) {
-        copy.on_element_hashed(elements[i], hash_scratch_[j * n + i], bus);
+      const std::uint64_t hv = hash_scratch_[j * n + i];
+      if (hv < copy.local_threshold() && copy.admits(elements[i])) {
+        copy.on_element_hashed(elements[i], hv, bus);
       }
     }
     bus.drain();

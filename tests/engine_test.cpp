@@ -9,12 +9,15 @@
 // query merge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <set>
 #include <vector>
 
 #include "baseline/baseline_system.h"
+#include "core/checkpoint.h"
 #include "core/shard_router.h"
 #include "core/system.h"
 #include "net/sim_network.h"
@@ -401,6 +404,128 @@ TEST(ShardedCoordinator, PerShardCountersPartitionTheTotal) {
   EXPECT_EQ(total, system.bus().counters().total);
   EXPECT_EQ(bytes, system.bus().counters().bytes);
   EXPECT_THROW(system.bus().coordinator_counters(4), std::out_of_range);
+}
+
+/// Everything a deployment's wire and answers expose, for differential
+/// comparison of two drives of the same arrivals.
+struct InfiniteFingerprint {
+  std::vector<std::array<std::uint64_t, 6>> trace;  // every logical send
+  std::vector<std::uint64_t> counters;
+  std::vector<std::vector<std::uint64_t>> samples;  // merged, then per shard
+
+  bool operator==(const InfiniteFingerprint&) const = default;
+};
+
+void fold_state(core::InfiniteSystem& system, InfiniteFingerprint& fp) {
+  const auto& c = system.bus().counters();
+  fp.counters.insert(fp.counters.end(), {c.total, c.site_to_coordinator,
+                                         c.coordinator_to_site, c.bytes});
+  fp.counters.insert(fp.counters.end(), c.by_type.begin(), c.by_type.end());
+  fp.samples.push_back(system.sample().elements());
+  for (std::uint32_t j = 0; j < system.num_shards(); ++j) {
+    fp.samples.push_back(system.coordinator(j).sample().elements());
+  }
+}
+
+TEST(ShardedCoordinator, ThresholdFilterMatchesDirectOwnerDrive) {
+  // RoutedSite drops an infinite-window arrival when its hash is at or
+  // above every copy's u_i. That must be invisible: the routed run has
+  // to send exactly what driving the owner copy directly sends, through
+  // a shard outage, a checkpoint restore with its u = 1 reset broadcast,
+  // a site reset, and an elastic grow and shrink that rebuild every copy.
+  const std::uint32_t kSites = 6;
+  const auto arrivals = infinite_stream(kSites, 16000, 1200, 41);
+  for (const std::uint32_t shards : {1u, 2u, 4u}) {
+    for (const bool suppress : {false, true}) {
+      for (const bool eager : {false, true}) {
+        auto drive = [&](bool routed) {
+          core::SystemConfig config{kSites, 8, hash::HashKind::kMurmur2, 17};
+          config.num_shards = shards;
+          config.elastic = true;
+          core::InfiniteSystem system(config, eager, suppress);
+          InfiniteFingerprint fp;
+          system.bus().set_tap([&](const sim::Message& m) {
+            fp.trace.push_back({m.from, m.to, static_cast<std::uint64_t>(m.type),
+                                m.instance, m.a, m.b});
+          });
+          std::size_t next = 0;
+          auto feed = [&](std::size_t count) {
+            const std::size_t end = std::min(arrivals.size(), next + count);
+            if (routed) {
+              std::vector<sim::Arrival> phase(arrivals.begin() + next,
+                                              arrivals.begin() + end);
+              ListSource source(phase);
+              system.run(source);
+            } else {
+              for (std::size_t i = next; i < end; ++i) {
+                const sim::Arrival& a = arrivals[i];
+                system.site(a.site, system.router().owner(a.element))
+                    .on_element(a.element, a.slot, system.bus());
+                system.bus().drain();
+              }
+              system.bus().finish();
+            }
+            next = end;
+            fold_state(system, fp);
+          };
+          const std::uint32_t victim = shards - 1;
+          feed(3000);
+          const auto image = core::checkpoint(system.coordinator(victim));
+          system.kill_shard(victim);
+          feed(1500);  // reports to the dead shard go unanswered
+          system.respawn_shard(victim);
+          EXPECT_TRUE(core::restore_into(system.coordinator_mut(victim), image));
+          core::resync_sites(system.bus().coordinator_id(victim), system.bus());
+          system.bus().finish();
+          feed(3000);
+          system.resync_shard(0);
+          feed(2500);
+          system.add_shard();
+          feed(3000);
+          system.remove_shard();
+          feed(3000);
+          return fp;
+        };
+        const InfiniteFingerprint direct = drive(false);
+        const InfiniteFingerprint routed = drive(true);
+        EXPECT_GT(direct.trace.size(), 0u);
+        EXPECT_TRUE(routed == direct)
+            << "shards " << shards << " suppress " << suppress << " eager "
+            << eager << ": routed sent " << routed.trace.size()
+            << " messages, direct " << direct.trace.size();
+      }
+    }
+  }
+}
+
+TEST(ShardedCoordinator, InfiniteElasticResizeKeepsTheMergeExact) {
+  // The infinite protocol's live resize migrates the shard samples
+  // (sites hold only u_i): the merged answer must stay the global
+  // bottom-s through a grow and a shrink.
+  const auto arrivals = infinite_stream(5, 9000, 3000, 43);
+  core::SystemConfig config{5, 12, hash::HashKind::kMurmur2, 29};
+  core::InfiniteSystem reference(config);
+  config.num_shards = 2;
+  core::InfiniteSystem elastic(config);
+  for (std::size_t phase = 0; phase < 3; ++phase) {
+    std::vector<sim::Arrival> part(arrivals.begin() + phase * 3000,
+                                   arrivals.begin() + (phase + 1) * 3000);
+    ListSource a(part);
+    reference.run(a);
+    ListSource b(part);
+    elastic.run(b);
+    ASSERT_EQ(reference.sample().entries().size(),
+              elastic.sample().entries().size());
+    EXPECT_EQ(reference.sample().elements(), elastic.sample().elements())
+        << "phase " << phase;
+    if (phase == 0) elastic.add_shard();
+    if (phase == 1) elastic.remove_shard();
+  }
+  EXPECT_EQ(elastic.num_shards(), 2u);
+  core::SystemConfig unshardable{5, 4, hash::HashKind::kMurmur2, 29};
+  unshardable.num_shards = 2;
+  core::WithReplacementSystem with_replacement(unshardable);
+  EXPECT_THROW(with_replacement.add_shard(), std::logic_error);
 }
 
 TEST(ShardedCoordinator, WithReplacementMergedSampleMatchesUnsharded) {

@@ -387,53 +387,6 @@ TEST(SlidingCheckpoint, RestoredDeploymentSelfHealsWithinAWindow) {
   EXPECT_FALSE(original.sample(end).empty());
 }
 
-// ------------------------------------------------- routing cache -----
-
-TEST(ShardCache, AgreesWithTheRingAndHitsOnRepeats) {
-  core::ShardRouter router(4, 11);
-  core::ShardCache cache(256);
-  util::SplitMix64 gen(3);
-  std::vector<stream::Element> hot;
-  for (int i = 0; i < 16; ++i) hot.push_back(gen.next());
-  for (int round = 0; round < 100; ++round) {
-    for (const stream::Element e : hot) {
-      ASSERT_EQ(cache.owner(router, e), router.owner(e));
-    }
-  }
-  EXPECT_EQ(cache.lookups(), 1600u);
-  // 16 hot elements over 100 rounds: everything past the first touch
-  // should hit, minus whatever a 3-deep set conflict thrashes (2-way
-  // LRU can't hold a 3-element cycle) — bound well below the ideal.
-  EXPECT_GT(cache.hits(), cache.lookups() * 3 / 4);
-  // Cold uniform traffic still answers correctly.
-  for (int i = 0; i < 5000; ++i) {
-    const stream::Element e = gen.next();
-    ASSERT_EQ(cache.owner(router, e), router.owner(e));
-  }
-}
-
-TEST(ShardCache, DeploymentSurfacesHitRate) {
-  core::SlidingSystemConfig config;
-  config.num_sites = 4;
-  config.window = 20;
-  config.sample_size = 1;
-  config.num_shards = 2;
-  core::SlidingSystem system(config);
-  util::Xoshiro256StarStar rng(5);
-  for (sim::Slot t = 0; t < 100; ++t) {
-    std::vector<std::pair<sim::NodeId, stream::Element>> xs;
-    for (int i = 0; i < 6; ++i) {
-      // A duplicate-heavy domain: the cache should absorb most lookups.
-      xs.emplace_back(static_cast<sim::NodeId>(rng.next_below(4)),
-                      1 + rng.next_below(40));
-    }
-    SlotSource src(t, xs);
-    system.run(src);
-  }
-  EXPECT_EQ(system.route_cache_lookups(), 600u);  // one per arrival
-  EXPECT_GT(system.route_cache_hits(), 0u);
-}
-
 // ------------------------------------- per-shard batcher flushing ----
 
 TEST(Batcher, TakeForShardFlushesOnlyThatShard)

@@ -15,6 +15,14 @@ cmake -B "$build" -S "$repo" -DDDS_BUILD_BENCHES=ON
 cmake --build "$build" -j
 ctest --test-dir "$build" --output-on-failure -j
 
+# End-to-end benchmark (BLOCKING): dds_bench on 1/50 of its inputs with
+# every query answer checked against its oracle, then the self-check,
+# which plants one wrong answer per workload and fails unless every
+# oracle flags it. Both exit nonzero on failure.
+bash "$repo/bench/dds_bench/run.sh" --smoke --out "$build/dds_bench_smoke"
+bash "$repo/bench/dds_bench/run.sh" --self-check \
+  --out "$build/dds_bench_smoke"
+
 # Smoke: the network ablation and the lossy-network walkthrough must run
 # end-to-end and emit their tables (JSON mirrors included).
 "$build/abl10_network" --runs 1 --n 4000 --domain 800 --slots 150 \
