@@ -9,9 +9,8 @@
 //
 // Storage is one vector of at most s entries sorted by (hash, element):
 // offer() is a binary search plus a shift of at most s entries, and a
-// query copies one contiguous block. The (hash, element) order is the
-// iteration order of the std::set this replaced, so entries() and every
-// image built from it are unchanged.
+// query copies one contiguous block. Checkpoint images list entries in
+// this order, so it is part of the image format.
 #pragma once
 
 #include <algorithm>

@@ -573,8 +573,9 @@ class Deployment {
  private:
   /// Registers every layer with the registry and hands the tracer down:
   /// transport (wire counters, delivery/flush/drop events), engine
-  /// (waves/stalls, "engine." prefix), deployment (site state), and — when the protocol's node types expose them — the
-  /// hybrid-substrate and pooled-sweep statistics.
+  /// (waves/stalls, "engine." prefix), deployment (site state), and —
+  /// when the protocol's node types expose them — the hybrid-substrate
+  /// and pooled-sweep statistics.
   void bind_observability() {
     obs::MetricsRegistry* registry = obs_->registry();
     obs::Tracer* tracer = obs_->tracer();
