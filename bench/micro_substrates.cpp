@@ -146,15 +146,16 @@ void BM_DominanceSetSlot(benchmark::State& state) {
 /// Steady-state dominance-set churn at a CONTROLLED size n — the
 /// substrate-crossover bench. A resident "staircase" of n tuples
 /// (rising hashes, consecutive expiries) is held in equilibrium: every
-/// iteration retires the front, appends at the tail, performs one
-/// duplicate-refresh lookup of a random resident (the per-arrival
-/// element-index path), and every 4th iteration lands a
+/// iteration retires the front, appends at the tail, re-observes the
+/// appended element in the same slot (a same-slot duplicate: the
+/// per-arrival duplicate check), and every 4th iteration lands a
 /// coordinator-style insert in the middle of the staircase (hash and
 /// expiry between its neighbours, so nothing is dominated either way).
 /// The same op sequence drives every substrate: the flat ring pays
-/// O(n) on the lookup and the middle shift, the treap pays O(log n)
-/// everywhere plus pointer-chasing constants — the crossover between
-/// them is what HybridConfig's thresholds encode.
+/// O(n) on the insert's lookup and middle shift but only touches its
+/// tail on observe(), the treap pays O(log n) everywhere plus
+/// pointer-chasing constants — the crossover between them is what
+/// HybridConfig's thresholds encode.
 template <typename Set>
 void staircase_churn(benchmark::State& state, Set& set) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
@@ -167,9 +168,10 @@ void staircase_churn(benchmark::State& state, Set& set) {
     ++t;
     set.expire(t);
     set.observe(t, (t + 1) * kStep, t + n);
-    // No-op refresh: same element, same expiry — pure lookup cost.
-    const std::uint64_t mid = t - 1 - rng.next_below(n / 2 + 1);
-    set.observe(mid, (mid + 1) * kStep, mid + n);
+    // No-op refresh: same element, same expiry — pure lookup cost. (An
+    // older resident cannot be re-observed at its old expiry: observe()
+    // takes only the newest expiry.)
+    set.observe(t, (t + 1) * kStep, t + n);
     if ((t & 3) == 0) {
       // Mid-staircase insert: strictly between resident p's and p+1's
       // hashes, sharing p's expiry — no prunes in either direction.

@@ -116,8 +116,9 @@ struct SlidingSystemConfig : SystemConfig {
 /// Site wrapper for sharded-coordinator deployments: one inner protocol
 /// site per coordinator shard. Arrivals route by element through the
 /// ShardRouter (so shard j sees exactly its partition's substream).
-/// Coordinator replies route back by sender id. Per-slot expiry runs on
-/// every copy.
+/// Coordinator replies route back by sender id. A slot begin is passed
+/// on only to the copies that are due, and the wrapper's own due slot is
+/// the minimum over its copies' (sim::StreamNode::due_slot).
 ///
 /// Infinite-window copies get Algorithm 1's order in front of the
 /// router: hash once (every copy shares the function), and drop the
@@ -139,6 +140,7 @@ class RoutedSite final : public sim::StreamNode {
 
   void add_copy(std::unique_ptr<Site> copy) {
     copies_.push_back(std::move(copy));
+    refresh_due_slot();
   }
 
   void on_element(std::uint64_t element, sim::Slot t,
@@ -155,7 +157,9 @@ class RoutedSite final : public sim::StreamNode {
         owner.on_element_hashed(element, hv, bus);
       }
     } else {
-      copies_[router_.owner(element)]->on_element(element, t, bus);
+      Site& owner = *copies_[router_.owner(element)];
+      owner.on_element(element, t, bus);
+      due_slot_ = std::min(due_slot_, owner.due_slot());
     }
   }
 
@@ -174,14 +178,19 @@ class RoutedSite final : public sim::StreamNode {
       copies_[owner]->on_element_batch(elements.subspan(i, j - i), t, bus);
       i = j;
     }
+    refresh_due_slot();
   }
 
   void on_slot_begin(sim::Slot t, net::Transport& bus) override {
-    for (auto& copy : copies_) copy->on_slot_begin(t, bus);
+    for (auto& copy : copies_) {
+      if (copy->due_slot() <= t) copy->on_slot_begin(t, bus);
+    }
+    refresh_due_slot();
   }
 
   void on_message(const sim::Message& msg, net::Transport& bus) override {
     copies_[msg.from - first_coordinator_]->on_message(msg, bus);
+    refresh_due_slot();
   }
 
   std::size_t state_size() const noexcept override {
@@ -190,6 +199,9 @@ class RoutedSite final : public sim::StreamNode {
     return total;
   }
 
+  /// A call made on a copy directly bypasses this wrapper's due slot, so
+  /// it must not move the copy's due slot earlier. (The full-sync copies
+  /// that an elastic resize absorbs tuples into keep none.)
   Site& copy(std::size_t shard) { return *copies_[shard]; }
   const Site& copy(std::size_t shard) const { return *copies_[shard]; }
 
@@ -235,9 +247,17 @@ class RoutedSite final : public sim::StreamNode {
       copy->restore_speculation_state(image.subspan(pos, len));
       pos += len;
     }
+    refresh_due_slot();
   }
 
  private:
+  void refresh_due_slot() {
+    due_slot_ = kNeverDue;
+    for (const auto& copy : copies_) {
+      due_slot_ = std::min(due_slot_, copy->due_slot());
+    }
+  }
+
   const ShardRouter& router_;
   sim::NodeId first_coordinator_;
   std::vector<std::unique_ptr<Site>> copies_;

@@ -1,5 +1,7 @@
 #include "core/multi_sliding.h"
 
+#include <algorithm>
+
 #include "util/rng.h"
 
 namespace dds::core {
@@ -16,15 +18,28 @@ MultiSlidingSite::MultiSlidingSite(sim::NodeId id, sim::NodeId coordinator,
                          util::derive_seed(seed, j),
                          static_cast<std::uint32_t>(j), substrate);
   }
+  refresh_due_slot();
+}
+
+void MultiSlidingSite::refresh_due_slot() {
+  sim::Slot due = kNeverDue;
+  for (const auto& copy : copies_) due = std::min(due, copy.due_slot());
+  due_slot_ = due;
 }
 
 void MultiSlidingSite::on_slot_begin(sim::Slot t, net::Transport& bus) {
-  for (auto& copy : copies_) copy.on_slot_begin(t, bus);
+  // A copy that is not due would change nothing; skipping it keeps the
+  // send order of the copies that do act.
+  for (auto& copy : copies_) {
+    if (copy.due_slot() <= t) copy.on_slot_begin(t, bus);
+  }
+  refresh_due_slot();
 }
 
 void MultiSlidingSite::on_element(stream::Element element, sim::Slot t,
                                   net::Transport& bus) {
   for (auto& copy : copies_) copy.on_element(element, t, bus);
+  refresh_due_slot();
 }
 
 void MultiSlidingSite::on_element_batch(std::span<const std::uint64_t> elements,
@@ -46,10 +61,14 @@ void MultiSlidingSite::on_element_batch(std::span<const std::uint64_t> elements,
     }
     bus.drain();
   }
+  refresh_due_slot();
 }
 
 void MultiSlidingSite::on_message(const sim::Message& msg, net::Transport& bus) {
-  if (msg.instance < copies_.size()) copies_[msg.instance].on_message(msg, bus);
+  if (msg.instance < copies_.size()) {
+    copies_[msg.instance].on_message(msg, bus);
+    refresh_due_slot();
+  }
 }
 
 std::size_t MultiSlidingSite::state_size() const noexcept {

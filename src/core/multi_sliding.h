@@ -4,6 +4,8 @@
 // indexed family and tagging its bus traffic instance = j. The result is
 // a with-replacement distinct sample of the window; distinct-union of a
 // slightly larger s gives without-replacement (Chapter 3's reduction).
+// The site's due slot is the minimum over its copies', and a slot begin
+// is passed on only to the copies that are due.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +34,17 @@ class MultiSlidingSite final : public sim::StreamNode {
   std::size_t state_size() const noexcept override;
 
   const SlidingWindowSite& copy(std::size_t j) const { return copies_[j]; }
+  /// For drivers that call a copy's on_slot_begin themselves (the
+  /// every-slot reference drive of the due-slot tests). That call only
+  /// moves the copy's due slot later, so this site's due slot stays a
+  /// valid lower bound.
+  SlidingWindowSite& copy(std::size_t j) { return copies_[j]; }
   std::size_t num_copies() const noexcept { return copies_.size(); }
 
  private:
+  /// Sets due_slot_ to the minimum of the copies' due slots.
+  void refresh_due_slot();
+
   std::vector<SlidingWindowSite> copies_;
   /// Batched-hash buffer: copies x elements, copy-major (copy j's hash
   /// for element i at [j * n + i]) so each copy's family member hashes

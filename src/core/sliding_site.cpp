@@ -1,5 +1,7 @@
 #include "core/sliding_site.h"
 
+#include <algorithm>
+
 namespace dds::core {
 
 SlidingWindowSite::SlidingWindowSite(sim::NodeId id, sim::NodeId coordinator,
@@ -13,7 +15,9 @@ SlidingWindowSite::SlidingWindowSite(sim::NodeId id, sim::NodeId coordinator,
       window_(window),
       hash_fn_(std::move(hash_fn)),
       instance_(instance),
-      candidates_(seed, substrate) {}
+      candidates_(seed, substrate) {
+  due_slot_ = kNeverDue;  // no view and no candidates: nothing can expire
+}
 
 void SlidingWindowSite::on_slot_begin(sim::Slot t, net::Transport& bus) {
   candidates_.expire(t);
@@ -30,6 +34,7 @@ void SlidingWindowSite::on_slot_begin(sim::Slot t, net::Transport& bus) {
       u_local_ = hash::kHashMax;
     }
   }
+  refresh_due_slot();
 }
 
 void SlidingWindowSite::on_element(stream::Element element, sim::Slot t,
@@ -42,6 +47,9 @@ void SlidingWindowSite::on_element_hashed(stream::Element element,
                                           net::Transport& bus) {
   const sim::Slot expiry = t + window_;
   candidates_.observe(element, hv, expiry);
+  // The newcomer is the newest tuple, and whatever observe() pruned or
+  // refreshed can only move the head's expiry later.
+  due_slot_ = std::min(due_slot_, expiry);
   if (hv < u_local_) {
     offer(element, hv, expiry, bus);
   }
@@ -72,6 +80,17 @@ void SlidingWindowSite::on_message(const sim::Message& msg, net::Transport& /*bu
   u_local_ = msg.b;
   view_expiry_ = static_cast<sim::Slot>(msg.c);
   candidates_.insert(msg.a, msg.b, static_cast<sim::Slot>(msg.c));
+  refresh_due_slot();
+}
+
+void SlidingWindowSite::refresh_due_slot() {
+  // on_slot_begin(t) acts only when T_i's head or the sample view
+  // expires, that is at t >= the earlier of the two expiries.
+  sim::Slot due = has_view_ ? view_expiry_ : kNeverDue;
+  if (const auto head = candidates_.min_hash()) {
+    due = std::min(due, head->expiry);
+  }
+  due_slot_ = due;
 }
 
 void SlidingWindowSite::offer(stream::Element element, std::uint64_t hash,

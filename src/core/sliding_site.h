@@ -19,6 +19,10 @@
 //   - if h(e) < u_i: offer (e, t+w) to the coordinator (lines 12-14).
 // On coordinator reply (e, t): adopt it as the local sample view and
 // insert it into T_i (lines 16-20).
+//
+// The slot-begin work is due only when T_i's head or the view expires,
+// so the site keeps its due slot (sim::StreamNode::due_slot) at the
+// earlier of those two expiries and the engine skips it until then.
 #pragma once
 
 #include <cstdint>
@@ -69,6 +73,8 @@ class SlidingWindowSite final : public sim::StreamNode {
  private:
   void offer(stream::Element element, std::uint64_t hash, sim::Slot expiry,
              net::Transport& bus);
+  /// Sets due_slot_ to exactly min(head expiry, view expiry).
+  void refresh_due_slot();
 
   sim::NodeId id_;
   sim::NodeId coordinator_;

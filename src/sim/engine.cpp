@@ -29,6 +29,7 @@ void Engine::bind_observability(obs::MetricsRegistry* registry,
   tracer_ = tracer;
   if (registry == nullptr) return;
   registry->counter("engine.arrivals", &processed_);
+  registry->counter("engine.site_wakeups", &site_wakeups_);
   registry->gauge("engine.threads",
                   [this] { return static_cast<double>(num_threads()); });
   registry->gauge("engine.slot",
@@ -50,7 +51,11 @@ void Engine::begin_slots_through(Slot slot) {
     // its expiry logic for the slot (a no-op on the zero-delay Bus,
     // whose queue is always empty here).
     net_.drain();
+    // Only sites whose due slot has come are woken. A skipped site would
+    // have changed nothing and sent nothing, so its drain is skipped too.
     for (auto* site : sites_) {
+      if (site->due_slot() > current_slot_) continue;
+      ++site_wakeups_;
       site->on_slot_begin(current_slot_, net_);
       net_.drain();
     }

@@ -86,9 +86,11 @@ struct EngineConfig {
 class Engine {
  public:
   /// `sites[i]` handles arrivals for site id i. If `invoke_slot_begin` is
-  /// set, every site receives on_slot_begin for every slot in order (the
-  /// sliding-window protocols need this for expiry processing); leave it
-  /// off for infinite-window runs where slots carry no semantics.
+  /// set, the engine walks the slots in order and, at each slot t, calls
+  /// on_slot_begin(t) on every site whose due_slot() <= t, in site order
+  /// (the sliding-window protocols need this for expiry processing;
+  /// sites that keep no due slot are called every slot). Leave it off
+  /// for infinite-window runs where slots carry no semantics.
   Engine(net::Transport& net, std::vector<StreamNode*> sites,
          bool invoke_slot_begin);
   virtual ~Engine() = default;
@@ -128,6 +130,10 @@ class Engine {
   void advance_to_slot(Slot slot) { begin_slots_through(slot); }
 
   Slot current_slot() const noexcept { return current_slot_; }
+
+  /// on_slot_begin calls made so far: sites actually woken at slot
+  /// boundaries (the engine.site_wakeups counter).
+  std::uint64_t site_wakeups() const noexcept { return site_wakeups_; }
 
   /// Engine identity, for logging/benches ("serial" / "sharded").
   virtual const char* name() const noexcept = 0;
@@ -175,6 +181,7 @@ class Engine {
   bool invoke_slot_begin_;
   Slot current_slot_ = -1;
   std::uint64_t processed_ = 0;
+  std::uint64_t site_wakeups_ = 0;
   std::uint64_t observe_every_ = 0;
   std::function<void(const Progress&)> observer_;
 };

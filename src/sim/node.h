@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -49,12 +50,25 @@ class StreamNode : public Node {
   virtual void on_element_batch(std::span<const std::uint64_t> elements,
                                 Slot t, net::Transport& net);
 
-  /// Called once per slot before any arrivals of slot `t` are delivered
-  /// (sliding-window sites run their expiry logic here). Default: no-op.
+  /// Called before any arrivals of slot `t` are delivered (sliding-window
+  /// sites run their expiry logic here), but only for slots t >=
+  /// due_slot(): the engine skips a site whose due slot lies ahead.
+  /// Calling it for a slot before the due slot must change nothing, so
+  /// a site that is woken early just re-checks. Default: no-op.
   virtual void on_slot_begin(Slot t, net::Transport& net) {
     (void)t;
     (void)net;
   }
+
+  /// The earliest slot whose on_slot_begin could change this site's
+  /// state or send a message. A lower bound is enough (an early wake is
+  /// a no-op); a value too high is a bug, since the site then misses an
+  /// expiry. Non-virtual so the engine's per-slot scan is one load per
+  /// site. The default, kEverySlot, wakes the site at every slot.
+  Slot due_slot() const noexcept { return due_slot_; }
+
+  static constexpr Slot kEverySlot = std::numeric_limits<Slot>::min();
+  static constexpr Slot kNeverDue = std::numeric_limits<Slot>::max();
 
   // ---- speculation snapshots -------------------------------------------
   //
@@ -82,6 +96,11 @@ class StreamNode : public Node {
     (void)image;
     throw std::logic_error("restore_speculation_state: site not capable");
   }
+
+ protected:
+  /// Backs due_slot(). Sites that know when their slot-begin work falls
+  /// due keep it current; the rest leave it at kEverySlot.
+  Slot due_slot_ = kEverySlot;
 };
 
 }  // namespace dds::sim

@@ -10,11 +10,9 @@ namespace {
 
 constexpr std::uint64_t kU64Min = 0;
 
-std::uint32_t next_pow2(std::uint32_t v) {
-  std::uint32_t p = 8;
-  while (p < v) p <<= 1;
-  return p;
-}
+/// Initial flat-ring capacity. Lemma 10 puts the steady-state |T_i| near
+/// 10, so most sets never grow; ring_grow doubles the rest on demand.
+constexpr std::uint32_t kInitialRing = 16;
 
 }  // namespace
 
@@ -27,20 +25,16 @@ DominanceSet::DominanceSet(std::uint64_t seed, HybridConfig hybrid)
   }
   flat_ = hybrid_.migrate_up > 0;
   if (flat_) [[likely]] {
-    // Sized for the hysteresis band up front (capped: very large
-    // migrate_up — the pure-flat ablation — grows on demand instead).
-    const std::uint32_t cap =
-        next_pow2(std::min<std::uint32_t>(
-            std::max(hybrid_.migrate_up, hybrid_.migrate_down) + 1, 256));
-    ring_.resize(cap);
-    mask_ = cap - 1;
+    ring_.resize(kInitialRing);
+    mask_ = kInitialRing - 1;
   }
 }
 
 // ------------------------------------------------------------ flat ring --
 
 void DominanceSet::ring_grow(std::uint32_t min_cap) {
-  std::uint32_t cap = ring_.empty() ? 8 : static_cast<std::uint32_t>(ring_.size());
+  std::uint32_t cap =
+      ring_.empty() ? kInitialRing : static_cast<std::uint32_t>(ring_.size());
   while (cap < min_cap) cap <<= 1;
   std::vector<Candidate> fresh(cap);
   for (std::uint32_t l = 0; l < count_; ++l) fresh[l] = at(l);
@@ -73,8 +67,47 @@ void DominanceSet::ring_insert_at(std::uint32_t pos, const Candidate& c) {
   ++count_;
 }
 
-void DominanceSet::flat_update(std::uint64_t element, std::uint64_t hash,
-                               sim::Slot expiry, bool newest) {
+void DominanceSet::flat_observe(std::uint64_t element, std::uint64_t hash,
+                                sim::Slot expiry) {
+  // Arrivals carry the newest timestamp, so everything observe() touches
+  // sits at the tail of the staircase; the front is never scanned.
+  assert(count_ == 0 || at(count_ - 1).expiry <= expiry);
+  // The same-expiry group [g, count_) ends the ring. The element already
+  // in it is a same-slot duplicate: nothing changes.
+  std::uint32_t g = count_;
+  while (g > 0 && at(g - 1).expiry == expiry) {
+    if (at(g - 1).element == element) return;
+    --g;
+  }
+  // The newcomer dominates the run [v, g) of earlier tuples with a
+  // larger hash (contiguous: hashes rise along the staircase).
+  std::uint32_t v = g;
+  while (v > 0 && at(v - 1).hash > hash) --v;
+  // An older copy of the element has the same hash, so it can only sit
+  // in the equal-hash run just before the dominated one.
+  std::uint32_t stale = v;
+  for (std::uint32_t l = v; l > 0 && at(l - 1).hash == hash; --l) {
+    if (at(l - 1).element == element) {
+      stale = l - 1;
+      break;
+    }
+  }
+  ring_remove_range(v, g);
+  if (stale != v) {
+    ring_remove_range(stale, stale + 1);
+    --v;
+  }
+  // Everything before v is strictly smaller; place the newcomer inside
+  // its expiry group (an append unless the slot already had arrivals).
+  const Candidate c{element, hash, expiry};
+  std::uint32_t q = v;
+  while (q < count_ && sample_key_less(at(q), c)) ++q;
+  ring_insert_at(q, c);
+  if (count_ > hybrid_.migrate_up) promote();
+}
+
+void DominanceSet::flat_insert(std::uint64_t element, std::uint64_t hash,
+                               sim::Slot expiry) {
   // Duplicate refresh: the newest expiry wins, older info is a no-op.
   for (std::uint32_t l = 0; l < count_; ++l) {
     if (at(l).element == element) {
@@ -83,18 +116,12 @@ void DominanceSet::flat_update(std::uint64_t element, std::uint64_t hash,
       break;
     }
   }
-  if (newest) {
-    // observe(): arrivals carry the newest timestamp, so the newcomer
-    // cannot be dominated.
-    assert(count_ == 0 || at(count_ - 1).expiry <= expiry);
-  } else {
-    // insert(): reject if a stored tuple dominates the newcomer. The
-    // suffix with expiry' > expiry starts at p2; by the staircase its
-    // smallest hash sits at its front.
-    std::uint32_t p2 = count_;
-    while (p2 > 0 && at(p2 - 1).expiry > expiry) --p2;
-    if (p2 < count_ && at(p2).hash < hash) return;
-  }
+  // Reject if a stored tuple dominates the newcomer. The suffix with
+  // expiry' > expiry starts at p2; by the staircase its smallest hash
+  // sits at its front.
+  std::uint32_t p2 = count_;
+  while (p2 > 0 && at(p2 - 1).expiry > expiry) --p2;
+  if (p2 < count_ && at(p2).hash < hash) return;
   // Prune what the newcomer dominates: within the prefix of strictly
   // earlier expiries (ending at p), the staircase makes the hash' > hash
   // victims a contiguous run [v, p) — one bulk shift removes them all.
@@ -204,7 +231,7 @@ void DominanceSet::maybe_demote() {
 void DominanceSet::observe(std::uint64_t element, std::uint64_t hash,
                            sim::Slot expiry) {
   if (flat_) [[likely]] {
-    flat_update(element, hash, expiry, /*newest=*/true);
+    flat_observe(element, hash, expiry);
   } else {
     tree_update(element, hash, expiry, /*newest=*/true);
   }
@@ -213,7 +240,7 @@ void DominanceSet::observe(std::uint64_t element, std::uint64_t hash,
 void DominanceSet::insert(std::uint64_t element, std::uint64_t hash,
                           sim::Slot expiry) {
   if (flat_) [[likely]] {
-    flat_update(element, hash, expiry, /*newest=*/false);
+    flat_insert(element, hash, expiry);
   } else {
     tree_update(element, hash, expiry, /*newest=*/false);
   }

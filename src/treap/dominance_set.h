@@ -19,8 +19,9 @@
 // and migrates between them with hysteresis:
 //
 //   * below `HybridConfig::migrate_up` tuples: a flat sorted ring
-//     buffer (expiry-ordered; expiry is a head advance, prunes are
-//     contiguous shifts, min-hash is the front);
+//     buffer (expiry-ordered; expiry is a head advance, an arrival
+//     touches only the tail, prunes are contiguous shifts, min-hash is
+//     the front). It starts at 16 slots and doubles on demand;
 //   * above it: the pooled treap of treap.h plus a SlotIndex — open
 //     addressing over the treap's own pool slots — replacing the
 //     historical element->key unordered_map (no second hash map, no
@@ -122,7 +123,9 @@ class DominanceSet {
   /// `expiry` (= arrival slot + w). If the element is already tracked,
   /// its expiry is refreshed; dominated tuples are pruned. `expiry` must
   /// be >= every expiry currently stored (arrivals carry the newest
-  /// timestamp), which the staircase maintenance relies on.
+  /// timestamp), which the staircase maintenance relies on. The same
+  /// element must always come with the same hash: in flat mode a stale
+  /// copy is looked for only among the tuples of equal hash.
   void observe(std::uint64_t element, std::uint64_t hash, sim::Slot expiry);
 
   /// Inserts a candidate with an arbitrary expiry (the coordinator's
@@ -152,12 +155,12 @@ class DominanceSet {
   std::optional<Candidate> min_hash_valid_after(sim::Slot min_expiry) const;
 
   /// Prefetch hint for the batched ingest pipeline: pulls the storage
-  /// lines the next observe(element, ...) will touch first (ring front /
+  /// lines the next observe(element, ...) will touch first (ring tail /
   /// index probe line + treap root).
   void prefetch(std::uint64_t element) const noexcept {
     if (flat_) {
 #if defined(__GNUC__) || defined(__clang__)
-      if (count_ > 0) __builtin_prefetch(&ring_[head_ & mask_]);
+      if (count_ > 0) __builtin_prefetch(&at(count_ - 1));
 #endif
     } else {
       index_.prefetch(element);
@@ -229,10 +232,15 @@ class DominanceSet {
   void ring_remove_range(std::uint32_t from, std::uint32_t to);
   /// Inserts `c` at logical position `pos`, shifting the tail right.
   void ring_insert_at(std::uint32_t pos, const Candidate& c);
-  /// Shared flat-mode update; `newest` marks the observe() precondition
-  /// (expiry >= everything stored).
-  void flat_update(std::uint64_t element, std::uint64_t hash,
-                   sim::Slot expiry, bool newest);
+  /// Flat-mode observe(): works only on the staircase tail (the
+  /// same-expiry group, the run it dominates, and the equal-hash run
+  /// before that, where a stale copy of the element must sit).
+  void flat_observe(std::uint64_t element, std::uint64_t hash,
+                    sim::Slot expiry);
+  /// Flat-mode insert(): an arbitrary expiry, so the whole ring may be
+  /// scanned for the element and for a dominating tuple.
+  void flat_insert(std::uint64_t element, std::uint64_t hash,
+                   sim::Slot expiry);
 
   // ---- treap-mode helpers ------------------------------------------
   /// Element stored in pool slot `s` (SlotIndex probe callback).

@@ -243,6 +243,70 @@ INSTANTIATE_TEST_SUITE_P(
         HybridFuzzParams{6, HybridConfig{12, 11}, 80, 25, 5, 11},
         HybridFuzzParams{7, HybridConfig{48, 2}, 80, 25, 5, 7}));
 
+// ------------------------------------ hybrid DominanceSet: hash ties --
+
+struct TieFuzzParams {
+  std::uint64_t seed;
+  HybridConfig hybrid;
+  int window;
+  int coord_every;
+};
+
+class HashTieDominanceFuzz : public ::testing::TestWithParam<TieFuzzParams> {};
+
+// Six hash values over 40 elements: distinct elements often share a
+// hash, so the staircase holds long equal-hash runs, and a re-arriving
+// element's stale copy can sit anywhere inside one (observe() must find
+// it there without scanning the rest of the set).
+TEST_P(HashTieDominanceFuzz, MatchesNaiveWithFewHashValues) {
+  const auto p = GetParam();
+  DominanceSet fast(p.seed, p.hybrid);
+  NaiveDominanceSet ref;
+  util::Xoshiro256StarStar rng(p.seed);
+  const auto tied_hash = [](std::uint64_t e) {
+    return 1 + util::mix64(e) % 6;
+  };
+  for (sim::Slot t = 0; t < 2000; ++t) {
+    fast.expire(t);
+    ref.expire(t);
+    const int arrivals = static_cast<int>(rng.next_below(5));
+    for (int a = 0; a < arrivals; ++a) {
+      const std::uint64_t e = 1 + rng.next_below(40);
+      fast.observe(e, tied_hash(e), t + p.window);
+      ref.observe(e, tied_hash(e), t + p.window);
+    }
+    if (p.coord_every > 0 && t % p.coord_every == 0 && t > 0) {
+      const std::uint64_t e = 1 + rng.next_below(40);
+      const sim::Slot expiry =
+          t + 1 + static_cast<sim::Slot>(rng.next_below(p.window));
+      fast.insert(e, tied_hash(e), expiry);
+      ref.insert(e, tied_hash(e), expiry);
+    }
+    ASSERT_EQ(fast.size(), ref.size()) << "slot " << t;
+    ASSERT_EQ(fast.snapshot(), ref.snapshot()) << "slot " << t;
+    ASSERT_TRUE(fast.check_invariants()) << "slot " << t;
+    // Several tuples may share the minimum hash; the reference breaks
+    // that tie by insertion order, the staircase by key order, so only
+    // the hash is compared (and the front of the key order must hold it).
+    const auto fm = fast.min_hash();
+    const auto rm = ref.min_hash();
+    ASSERT_EQ(fm.has_value(), rm.has_value());
+    if (fm) {
+      ASSERT_EQ(fm->hash, rm->hash) << "slot " << t;
+      ASSERT_EQ(*fm, fast.snapshot().front()) << "slot " << t;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, HashTieDominanceFuzz,
+    ::testing::Values(TieFuzzParams{1, HybridConfig{}, 5, 0},
+                      TieFuzzParams{2, HybridConfig{}, 20, 0},
+                      TieFuzzParams{3, HybridConfig{}, 60, 7},
+                      // Low thresholds: tie runs cross migrations.
+                      TieFuzzParams{4, HybridConfig{8, 4}, 30, 5},
+                      TieFuzzParams{5, HybridConfig{0, 0}, 30, 5}));
+
 // ------------------------------- hybrid DominanceSet: migration edges --
 
 /// Grows the set to exactly `n` tuples with rising hashes (nothing
