@@ -238,6 +238,7 @@ void SocketTransport::bind_observability(obs::MetricsRegistry* registry,
   registry->counter("socket.handshake_packets", &stats_.handshake_packets);
   registry->counter("socket.batches_flushed", &stats_.batches_flushed);
   registry->counter("socket.batched_messages", &stats_.batched_messages);
+  registry->counter("socket.syscalls", &stats_.syscalls);
   registry->counter("net.logical.msgs", &logical_.total);
   registry->counter("net.logical.bytes", &logical_.bytes);
 }

@@ -85,6 +85,9 @@ struct SocketStats {
   std::uint64_t handshake_packets = 0;
   std::uint64_t batches_flushed = 0;
   std::uint64_t batched_messages = 0;
+  /// send/recv/poll calls, EAGAIN and handshake included (TCP only;
+  /// UDP leaves it 0).
+  std::uint64_t syscalls = 0;
 };
 
 class SocketTransport : public Transport {
@@ -157,16 +160,24 @@ class SocketTransport : public Transport {
   virtual void ship_frame(sim::NodeId from, sim::NodeId to,
                           wire::Buffer frame) = 0;
 
-  /// Moves bytes: reads everything readable (feeding received frames
-  /// back through on_frame_bytes), services retransmit/ack timers,
-  /// flushes pending writes. May block briefly (a few ms) when idle.
-  /// Returns true if anything moved.
+  /// Moves bytes: reads what is readable (feeding received frames back
+  /// through on_frame_bytes), services retransmit/ack timers, flushes
+  /// pending writes. May block briefly (a few ms) when idle. Returns
+  /// true if anything moved.
   virtual bool pump_io(double now) = 0;
 
   /// Every link has acknowledged (UDP) or fully written (TCP) all data.
   virtual bool links_idle() const = 0;
 
   // ---- services for subclasses ---------------------------------------
+
+  /// All-local mode: the directed link (from, to) that carries the next
+  /// frame due for delivery (the head of the global send order), or
+  /// nullptr when every shipped frame has been delivered. Its bytes are
+  /// the only ones the delivery loop is waiting for.
+  const std::pair<sim::NodeId, sim::NodeId>* next_due_link() const noexcept {
+    return tokens_.empty() ? nullptr : &tokens_.front();
+  }
 
   bool is_local(sim::NodeId id) const { return local_mask_[id]; }
   bool all_local() const noexcept { return all_local_; }

@@ -19,6 +19,8 @@ namespace dds::net {
 namespace {
 
 constexpr std::size_t kReadChunk = 65536;
+/// How long an idle pump parks in poll before returning to its caller.
+constexpr int kIdleWaitMs = 2;
 
 [[noreturn]] void throw_errno(const std::string& what) {
   throw std::runtime_error("TcpTransport: " + what + ": " +
@@ -140,19 +142,19 @@ int TcpTransport::connect_with_retry(std::uint32_t ip, std::uint16_t port,
     }
     // The peer process may not be listening yet (multi-process spawn
     // order); back off briefly and retry.
-    ::poll(nullptr, 0, 20);
+    sys_poll(nullptr, 0, 20);
   }
 }
 
 void TcpTransport::write_frame_blocking(int fd, const wire::Buffer& frame) {
   std::size_t off = 0;
   while (off < frame.size()) {
-    const ssize_t n = ::send(fd, frame.data() + off, frame.size() - off, 0);
+    const ssize_t n = sys_send(fd, frame.data() + off, frame.size() - off, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         pollfd p{fd, POLLOUT, 0};
-        ::poll(&p, 1, 100);
+        sys_poll(&p, 1, 100);
         continue;
       }
       throw_errno("send");
@@ -177,8 +179,8 @@ wire::Frame TcpTransport::read_frame_blocking(Peer& peer, double deadline) {
       throw std::runtime_error("TcpTransport: handshake timed out");
     }
     pollfd p{peer.fd, POLLIN, 0};
-    ::poll(&p, 1, 100);
-    const ssize_t n = ::recv(peer.fd, chunk, sizeof(chunk), MSG_DONTWAIT);
+    sys_poll(&p, 1, 100);
+    const ssize_t n = sys_recv(peer.fd, chunk, sizeof(chunk), MSG_DONTWAIT);
     if (n > 0) {
       stats().packets_received += 1;
       stats().kernel_bytes_received += static_cast<std::uint64_t>(n);
@@ -263,7 +265,7 @@ void TcpTransport::accept_sites() {
           throw std::runtime_error("TcpTransport: accept timed out");
         }
         pollfd p{listener.fd, POLLIN, 0};
-        ::poll(&p, 1, 100);
+        sys_poll(&p, 1, 100);
       }
       set_nodelay(fd);
       Peer peer;
@@ -331,7 +333,7 @@ bool TcpTransport::pump_accepts() {
     for (auto it = pending.begin(); it != pending.end();) {
       Peer& peer = *it;
       std::uint8_t chunk[kReadChunk];
-      const ssize_t n = ::recv(peer.fd, chunk, sizeof(chunk), MSG_DONTWAIT);
+      const ssize_t n = sys_recv(peer.fd, chunk, sizeof(chunk), MSG_DONTWAIT);
       if (n > 0) {
         moved = true;
         stats().packets_received += 1;
@@ -396,12 +398,29 @@ void TcpTransport::ship_frame(sim::NodeId from, sim::NodeId to,
   flush_out(peer);
 }
 
+ssize_t TcpTransport::sys_send(int fd, const void* data, std::size_t len,
+                               int flags) {
+  stats().syscalls += 1;
+  return ::send(fd, data, len, flags);
+}
+
+ssize_t TcpTransport::sys_recv(int fd, void* data, std::size_t len,
+                               int flags) {
+  stats().syscalls += 1;
+  return ::recv(fd, data, len, flags);
+}
+
+int TcpTransport::sys_poll(pollfd* fds, std::size_t n, int timeout_ms) {
+  stats().syscalls += 1;
+  return ::poll(fds, static_cast<nfds_t>(n), timeout_ms);
+}
+
 bool TcpTransport::flush_out(Peer& peer) {
   bool moved = false;
-  while (peer.outpos < peer.outbuf.size()) {
+  while (peer.backlogged()) {
     const ssize_t n =
-        ::send(peer.fd, peer.outbuf.data() + peer.outpos,
-               peer.outbuf.size() - peer.outpos, MSG_DONTWAIT);
+        sys_send(peer.fd, peer.outbuf.data() + peer.outpos,
+                 peer.outbuf.size() - peer.outpos, MSG_DONTWAIT);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -412,9 +431,21 @@ bool TcpTransport::flush_out(Peer& peer) {
     stats().kernel_bytes_sent += static_cast<std::uint64_t>(n);
     peer.outpos += static_cast<std::size_t>(n);
   }
-  if (peer.outpos == peer.outbuf.size() && peer.outpos > 0) {
+  if (peer.backlogged()) {
+    backlog_ = true;
+  } else if (peer.outpos > 0) {
     peer.outbuf.clear();
     peer.outpos = 0;
+  }
+  return moved;
+}
+
+bool TcpTransport::flush_backlog() {
+  if (!backlog_) return false;
+  backlog_ = false;  // flush_out sets it again for a peer it cannot empty
+  bool moved = false;
+  for (auto& [key, peer] : peers_) {
+    if (peer.backlogged() && flush_out(peer)) moved = true;
   }
   return moved;
 }
@@ -448,17 +479,23 @@ bool TcpTransport::read_peer(sim::NodeId local, sim::NodeId remote,
   bool moved = false;
   std::uint8_t chunk[kReadChunk];
   for (;;) {
-    const ssize_t n = ::recv(peer.fd, chunk, sizeof(chunk), MSG_DONTWAIT);
+    const ssize_t n = sys_recv(peer.fd, chunk, sizeof(chunk), MSG_DONTWAIT);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       throw_errno("recv");
     }
-    if (n == 0) break;  // peer closed; parsed frames already delivered
+    if (n == 0) {  // peer closed; parsed frames already delivered
+      peer.eof = true;
+      break;
+    }
     moved = true;
     stats().packets_received += 1;
     stats().kernel_bytes_received += static_cast<std::uint64_t>(n);
     peer.inbuf.insert(peer.inbuf.end(), chunk, chunk + n);
+    // A short read took everything the kernel held; asking again would
+    // only return EAGAIN.
+    if (static_cast<std::size_t>(n) < sizeof(chunk)) break;
   }
   if (moved) parse_frames(local, remote, peer);
   return moved;
@@ -466,22 +503,68 @@ bool TcpTransport::read_peer(sim::NodeId local, sim::NodeId remote,
 
 bool TcpTransport::pump_io(double now) {
   (void)now;
-  bool moved = false;
-  if (!all_local()) moved = pump_accepts();
-  for (auto& [key, peer] : peers_) {
-    if (flush_out(peer)) moved = true;
-    if (read_peer(key.first, key.second, peer)) moved = true;
-  }
-  if (!moved) {
-    std::vector<pollfd> fds;
-    fds.reserve(peers_.size());
+  return all_local() ? pump_due() : pump_polled();
+}
+
+bool TcpTransport::pump_due() {
+  bool moved = flush_backlog();
+  const auto* due = next_due_link();
+  if (due == nullptr) return moved;  // every frame delivered
+  // The due frame travels from `from` to `to`; it is read at `to`'s end
+  // of their stream. Frames queued on other streams wait in the kernel
+  // until their own turn comes.
+  const sim::NodeId from = due->first;
+  const sim::NodeId to = due->second;
+  Peer& in = peers_.at({to, from});
+  if (read_peer(to, from, in)) return true;
+  if (moved) return true;
+  // The bytes are not there yet: park on the due stream, and on any
+  // stream that still has bytes to write (a frame larger than the socket
+  // buffers arrives only as its sender's backlog drains).
+  poll_fds_.clear();
+  poll_fds_.push_back(pollfd{in.fd, POLLIN, 0});
+  if (backlog_) {
     for (const auto& [key, peer] : peers_) {
-      short events = POLLIN;
-      if (peer.outpos < peer.outbuf.size()) events |= POLLOUT;
-      fds.push_back(pollfd{peer.fd, events, 0});
+      if (peer.backlogged()) poll_fds_.push_back(pollfd{peer.fd, POLLOUT, 0});
     }
-    ::poll(fds.data(), fds.size(), 2);
   }
+  sys_poll(poll_fds_.data(), poll_fds_.size(), kIdleWaitMs);
+  return false;
+}
+
+bool TcpTransport::pump_polled() {
+  bool moved = flush_backlog();
+  poll_fds_.clear();
+  for (const auto& [key, peer] : peers_) {
+    short events = peer.eof ? 0 : POLLIN;
+    if (peer.backlogged()) events |= POLLOUT;
+    poll_fds_.push_back(pollfd{peer.fd, events, 0});
+  }
+  for (const auto& [shard, listener] : listeners_) {
+    poll_fds_.push_back(pollfd{listener.fd, POLLIN, 0});
+  }
+  for (const auto& [shard, pending] : pending_accepts_) {
+    for (const Peer& peer : pending) {
+      poll_fds_.push_back(pollfd{peer.fd, POLLIN, 0});
+    }
+  }
+  // Wait only when nothing has moved yet, then read in the same call.
+  if (sys_poll(poll_fds_.data(), poll_fds_.size(), moved ? 0 : kIdleWaitMs) <=
+      0) {
+    return moved;
+  }
+  std::size_t i = 0;
+  for (auto& [key, peer] : peers_) {
+    const short revents = poll_fds_[i++].revents;
+    if ((revents & POLLOUT) != 0 && flush_out(peer)) moved = true;
+    if (!peer.eof && (revents & (POLLIN | POLLHUP | POLLERR)) != 0 &&
+        read_peer(key.first, key.second, peer)) {
+      moved = true;
+    }
+  }
+  bool accept_ready = false;
+  for (; i < poll_fds_.size(); ++i) accept_ready |= poll_fds_[i].revents != 0;
+  if (accept_ready && pump_accepts()) moved = true;
   return moved;
 }
 

@@ -15,6 +15,10 @@
 //     deployment driven directly with every copy's on_slot_begin called
 //     every slot — on a lossy SimNetwork, on TCP and with 2 coordinator
 //     shards;
+//   * through recovery: the same comparison while a chaos plan kills
+//     coordinator shards (their traffic dead-lettered) and the
+//     Supervisor respawns them from checkpoint images, one of them
+//     corrupted in transfer — on a lossy SimNetwork and on TCP;
 //   * the engine.site_wakeups counter: far below slots x sites on a
 //     sliding-window workload, exactly slots x sites for a protocol that
 //     keeps no due slot, and the same on two same-seed runs.
@@ -30,9 +34,11 @@
 #include "baseline/baseline_system.h"
 #include "core/multi_sliding.h"
 #include "core/sliding_site.h"
+#include "core/supervisor.h"
 #include "core/system.h"
 #include "hash/hash_function.h"
 #include "sim/bus.h"
+#include "sim/chaos.h"
 #include "sim/sources.h"
 #include "util/rng.h"
 
@@ -437,6 +443,170 @@ INSTANTIATE_TEST_SUITE_P(
                      false},
         SystemParams{"TwoShards", net::TransportKind::kSimNetwork, 2, 6, 3,
                      4000, 0.05, true}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+// --------------------------------------------------- through recovery --
+
+using SlotArrivals = std::vector<std::pair<sim::NodeId, stream::Element>>;
+
+/// Wakes every copy of every site (every shard copy, every sample copy)
+/// at slot t, draining after each site like the engine does.
+void wake_every_copy(core::SlidingSystem& system, sim::Slot t) {
+  net::Transport& bus = system.bus();
+  for (std::uint32_t i = 0; i < system.num_sites(); ++i) {
+    for (std::uint32_t shard = 0; shard < system.num_shards(); ++shard) {
+      core::MultiSlidingSite& site = system.site(i, shard);
+      for (std::size_t j = 0; j < site.num_copies(); ++j) {
+        site.copy(j).on_slot_begin(t, bus);
+      }
+    }
+    bus.drain();
+  }
+}
+
+/// One run() call written out by hand: SerialEngine::run over one
+/// slot's arrivals, except that each slot begun wakes every copy.
+/// `begun` is the hand-kept engine clock.
+void feed_every_slot(core::SlidingSystem& system, sim::Slot& begun,
+                     sim::Slot t, const SlotArrivals& xs) {
+  net::Transport& bus = system.bus();
+  for (const auto& [site, element] : xs) {
+    while (begun < t) {
+      ++begun;
+      bus.set_now(begun);
+      bus.drain();
+      wake_every_copy(system, begun);
+    }
+    system.site(site, system.router().owner(element))
+        .on_element(element, t, bus);
+    bus.drain();
+  }
+  bus.finish();
+}
+
+struct DrillRecord {
+  RunRecord run;
+  std::uint64_t dead_letters = 0;
+  core::RecoveryStats recovery;
+};
+
+/// A sliding deployment with 2 coordinator shards through a scripted
+/// outage plan: shard 1 killed and respawned, shard 0 killed and
+/// restored through a corrupted image (the Supervisor retries), shard 1
+/// killed again across a silence longer than the window. The coordinator
+/// side is all that dies, so every site must keep waking exactly when
+/// its own state expires: around dead-lettered reports, a restored
+/// coordinator that answers from its image, and a respawned one that
+/// starts empty.
+DrillRecord run_recovery_drill(const core::SystemConfig& config,
+                               bool every_slot) {
+  DrillRecord record;
+  core::SlidingSystem system(config);
+  tap_into(system, record.run);
+
+  core::SupervisorConfig sup_config;
+  sup_config.checkpoint_cadence = config.window / 2;
+  sup_config.auto_recover = false;  // respawns are scripted
+  core::Supervisor<core::SlidingSystem> supervisor(system, sup_config);
+
+  sim::ChaosPlan plan;
+  plan.kill_at(40, 1).respawn_at(52, 1);
+  plan.kill_at(90, 0).corrupt_image_at(90, 0).respawn_at(97, 0);
+  plan.kill_at(150, 1).respawn_at(185, 1);
+  sim::Slot now = 0;
+  sim::ChaosHooks hooks;
+  hooks.kill = [&](std::uint32_t shard) {
+    system.kill_shard(shard);
+    supervisor.notify_killed(shard, now);
+  };
+  hooks.respawn = [&](std::uint32_t shard) { supervisor.recover(shard, now); };
+  sim::ChaosController controller(plan, std::move(hooks));
+  supervisor.set_image_filter(
+      [&](std::uint32_t shard, core::CheckpointImage& image) {
+        controller.mangle(shard, image);
+      });
+
+  util::Xoshiro256StarStar rng(config.seed);
+  sim::Slot begun = -1;
+  std::uint64_t processed = 0;
+  for (sim::Slot t = 0; t < 260; ++t) {
+    now = t;
+    // Slots 120-169 are silent: longer than the window, so every T_i
+    // drains while shard 1 is down.
+    SlotArrivals xs;
+    if (t < 120 || t >= 170) {
+      const auto k = rng.next_below(5);
+      for (std::uint64_t a = 0; a < k; ++a) {
+        xs.emplace_back(static_cast<sim::NodeId>(
+                            rng.next_below(config.num_sites)),
+                        1 + rng.next_below(150));
+      }
+    }
+    if (every_slot) {
+      feed_every_slot(system, begun, t, xs);
+    } else {
+      sim::SlotSource source(t, xs);
+      system.run(source);
+    }
+    processed += xs.size();
+    supervisor.on_slot(t);
+    controller.step(t);
+    record.run.observations.push_back(observe(system, processed, t));
+  }
+  EXPECT_TRUE(controller.done());
+  record.run.counters = system.bus().counters();
+  record.run.wakeups = system.engine().site_wakeups();
+  record.dead_letters = system.dead_letters();
+  record.recovery = supervisor.stats();
+  return record;
+}
+
+struct RecoveryParams {
+  const char* name;
+  net::TransportKind kind;
+};
+
+void PrintTo(const RecoveryParams& p, std::ostream* os) { *os << p.name; }
+
+class DueSlotRecovery : public ::testing::TestWithParam<RecoveryParams> {};
+
+TEST_P(DueSlotRecovery, EngineRunMatchesEverySlotDriveThroughKillAndRestore) {
+  core::SystemConfig config;
+  config.num_sites = 5;
+  config.sample_size = 3;
+  config.seed = 37;
+  config.window = 30;
+  config.num_shards = 2;
+  config.network.kind = GetParam().kind;
+  if (config.network.kind == net::TransportKind::kSimNetwork) {
+    config.network.link.latency = 0.25;
+    config.network.link.jitter = 0.75;
+    config.network.link.drop_rate = 0.05;
+    config.network.link.retransmit = true;
+    config.network.batch_interval = 1;
+  }
+  const DrillRecord lazy = run_recovery_drill(config, /*every_slot=*/false);
+  const DrillRecord reference = run_recovery_drill(config, /*every_slot=*/true);
+  expect_same_run(lazy.run, reference.run);
+  EXPECT_EQ(lazy.dead_letters, reference.dead_letters);
+  EXPECT_GT(lazy.dead_letters, 0u);  // reports did hit dead shards
+  EXPECT_EQ(lazy.recovery.recoveries, 3u);
+  EXPECT_EQ(lazy.recovery.restore_failures, 1u);  // the corrupted transfer
+  EXPECT_EQ(reference.recovery.recoveries, lazy.recovery.recoveries);
+  EXPECT_EQ(reference.recovery.restore_failures,
+            lazy.recovery.restore_failures);
+  EXPECT_GT(lazy.run.counters.total, 100u);
+  EXPECT_GT(lazy.run.wakeups, 0u);
+  // 200 slots with arrivals, 5 sites: the lazy drive skipped most of
+  // the slot begins.
+  EXPECT_LT(lazy.run.wakeups, 200u * config.num_sites);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Transports, DueSlotRecovery,
+    ::testing::Values(
+        RecoveryParams{"LossySimNetwork", net::TransportKind::kSimNetwork},
+        RecoveryParams{"Tcp", net::TransportKind::kTcp}),
     [](const auto& info) { return std::string(info.param.name); });
 
 // --------------------------------------------------- wakeup counting --

@@ -19,6 +19,12 @@
 //   * the multi-process spawn smoke: fork/exec tools/dds_node
 //     (coordinator + 2 sites over real sockets), compare its sample
 //     with the in-process reference
+//   * TCP syscall accounting: an all-local sliding-window run reads
+//     only the stream whose frame is due, so it makes about one send
+//     and one recv per frame (socket.syscalls / socket.frames_sent)
+//   * a frame larger than the loopback socket buffers: partial sends,
+//     waits for bytes on the due stream, and still a delivery trace
+//     identical to SimNetwork's
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -39,6 +45,7 @@
 #include "core/system.h"
 #include "net/sim_network.h"
 #include "net/socket_transport.h"
+#include "net/tcp_transport.h"
 #include "net/udp_transport.h"
 #include "query/estimators.h"
 #include "sim/bus.h"
@@ -367,6 +374,130 @@ TEST(DrainAtFinish, QuiescentReportsBufferedTraffic) {
   transport.finish();
   EXPECT_TRUE(transport.quiescent());
   EXPECT_EQ(coordinator.received, 1u);
+}
+
+// ---- TCP reads only the stream whose frame is due --------------------
+
+TEST(TcpSyscalls, AllLocalSlidingRunMakesAboutTwoPerFrame) {
+  // The sliding_tcp benchmark's shape, scaled down: 4 sites, w = 50, a
+  // report and a reply for most candidates. Each frame costs the send
+  // that ships it and the recv that reads it on the due stream; the
+  // handshake and the odd read that finds the bytes still in flight
+  // make up the rest of the 2.5 budget.
+  core::SystemConfig config;
+  config.num_sites = 4;
+  config.sample_size = 4;
+  config.seed = 41;
+  config.window = 50;
+  config.network.kind = TransportKind::kTcp;
+  config.observability.metrics = true;
+  core::SlidingSystem system(config);
+
+  util::Xoshiro256StarStar rng(util::derive_seed(41, 0x5CA11));
+  std::vector<sim::Arrival> arrivals;
+  for (sim::Slot t = 1; t <= 1200; ++t) {
+    for (int a = 0; a < 5; ++a) {
+      arrivals.push_back(sim::Arrival{
+          t, static_cast<sim::NodeId>(rng.next_below(config.num_sites)),
+          1 + rng.next_below(5000)});
+    }
+  }
+  sim::ListSource source(std::move(arrivals));
+  system.run(source);
+  EXPECT_TRUE(system.bus().quiescent());
+
+  const auto snapshot = system.observability().snapshot();
+  const std::uint64_t frames = snapshot.counter_or("socket.frames_sent");
+  const std::uint64_t syscalls = snapshot.counter_or("socket.syscalls");
+  const auto& stats =
+      dynamic_cast<net::SocketTransport&>(system.bus()).socket_stats();
+  EXPECT_EQ(syscalls, stats.syscalls);
+  EXPECT_GT(frames, 1000u);
+  EXPECT_LE(static_cast<double>(syscalls), 2.5 * static_cast<double>(frames))
+      << syscalls << " syscalls for " << frames << " frames";
+}
+
+/// Records every message it receives; the coordinator-side instance
+/// answers every 1000th one, so deliveries of one frame ship more.
+struct EchoRecorder final : sim::Node {
+  bool echo = false;
+  std::vector<std::string> received;
+  void on_message(const sim::Message& msg, net::Transport& bus) override {
+    received.push_back(std::to_string(msg.from) + ">" +
+                       std::to_string(msg.to) + " " + std::to_string(msg.a) +
+                       " " + std::to_string(msg.b));
+    if (echo && msg.a % 1000 == 0) {
+      sim::Message reply;
+      reply.from = msg.to;
+      reply.to = msg.from;
+      reply.type = sim::MsgType::kThresholdReply;
+      reply.a = msg.a;
+      reply.b = msg.b;
+      bus.send(reply);
+    }
+  }
+};
+
+/// One site ships `n` batchable reports that a far batch deadline holds
+/// back until finish(), which sends them as a single kBatch frame.
+std::vector<std::string> run_one_huge_batch(net::Transport& transport,
+                                            std::uint64_t n) {
+  EchoRecorder site, coordinator;
+  coordinator.echo = true;
+  transport.attach(0, &site);
+  transport.attach(transport.coordinator_id(), &coordinator);
+  for (std::uint64_t i = 1; i <= n; ++i) {
+    sim::Message report;
+    report.from = 0;
+    report.to = transport.coordinator_id();
+    report.type = sim::MsgType::kReportElement;
+    report.a = i;
+    report.b = i * 0x9E3779B97F4A7C15ULL;
+    transport.send(report);
+  }
+  transport.finish();
+  EXPECT_TRUE(transport.quiescent());
+  std::vector<std::string> trace = std::move(coordinator.received);
+  trace.insert(trace.end(), site.received.begin(), site.received.end());
+  return trace;
+}
+
+TEST(TcpSyscalls, FrameLargerThanSocketBuffersStillDeliversInOrder) {
+  // 200k reports make one ~5.8 MB frame, more than loopback TCP will
+  // buffer (tcp_wmem's default ceiling is 4 MiB). The first send is
+  // partial, the rest waits for the receiver; the due stream's reader
+  // finds the frame incomplete, reads on, and waits for bytes until
+  // the sender's backlog drains. finish() must still complete, and the
+  // delivery trace must equal the simulator's.
+  constexpr std::uint64_t kReports = 200000;
+  net::NetworkConfig config;
+  config.batch_interval = 1000;  // only finish() ships the batch
+  config.batch_max_msgs = kReports + 1;
+  net::TcpTransport tcp(/*num_sites=*/1, config);
+  const net::SocketStats handshake = tcp.socket_stats();
+  const std::vector<std::string> got = run_one_huge_batch(tcp, kReports);
+
+  config.kind = TransportKind::kSimNetwork;
+  net::SimNetwork sim_net(/*num_sites=*/1, config);
+  const std::vector<std::string> want = run_one_huge_batch(sim_net, kReports);
+  ASSERT_EQ(got.size(), kReports + kReports / 1000);
+  EXPECT_TRUE(got == want) << "TCP delivery trace diverged from SimNetwork";
+  EXPECT_EQ(tcp.logical_counters().total, sim_net.logical_counters().total);
+  EXPECT_EQ(tcp.logical_counters().bytes, sim_net.logical_counters().bytes);
+
+  const net::SocketStats& stats = tcp.socket_stats();
+  EXPECT_EQ(stats.batches_flushed, 1u);
+  EXPECT_GT(stats.kernel_bytes_sent, kReports * 29);
+  // The batch frame took more than one send (the first was partial),
+  // and at least one read per 64 KiB chunk (89 for 5.8 MB)...
+  const std::uint64_t sends = stats.packets_sent - handshake.packets_sent;
+  const std::uint64_t reads =
+      stats.packets_received - handshake.packets_received;
+  EXPECT_GT(sends, stats.frames_sent - handshake.frames_sent);
+  EXPECT_GE(reads, kReports * 29 / 65536);
+  // ...and beyond those, calls that found the socket full or empty
+  // (EAGAIN) or waited in poll.
+  EXPECT_GT(stats.syscalls - handshake.syscalls, sends + reads);
 }
 
 // ---- multi-process spawn smoke (satellite 3) -------------------------
