@@ -571,7 +571,7 @@ bool TcpTransport::pump_polled() {
 bool TcpTransport::links_idle() const {
   if (!pre_accept_out_.empty()) return false;
   for (const auto& [key, peer] : peers_) {
-    if (peer.outpos < peer.outbuf.size()) return false;
+    if (peer.backlogged()) return false;
   }
   return true;
 }

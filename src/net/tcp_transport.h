@@ -9,7 +9,7 @@
 //
 // Reads: in all-local mode the transport knows which stream carries the
 // next frame due for delivery (SocketTransport::next_due_link), so
-// pump_io flushes the streams with unsent bytes, issues one recv on the
+// pump_io flushes the streams with unsent bytes, makes one recv on the
 // due stream, and polls that stream only when its bytes have not
 // arrived yet — about one send and one recv per frame. In multi-process
 // mode any stream may bring a frame, so pump_io polls every stream

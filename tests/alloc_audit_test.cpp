@@ -34,6 +34,16 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// otherwise they come from the runtime's allocator, and the free() below
+// releases them, which AddressSanitizer reports as a mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++g_news;
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
 void operator delete(void* p) noexcept {
   ++g_deletes;
   std::free(p);

@@ -347,6 +347,21 @@ RunRecord run_engine(const core::SystemConfig& config,
   return record;
 }
 
+/// Wakes every copy of every site (every shard copy, every sample copy)
+/// at slot t, draining after each site like the engine does.
+void wake_every_copy(core::SlidingSystem& system, sim::Slot t) {
+  net::Transport& bus = system.bus();
+  for (std::uint32_t i = 0; i < system.num_sites(); ++i) {
+    for (std::uint32_t shard = 0; shard < system.num_shards(); ++shard) {
+      core::MultiSlidingSite& site = system.site(i, shard);
+      for (std::size_t j = 0; j < site.num_copies(); ++j) {
+        site.copy(j).on_slot_begin(t, bus);
+      }
+    }
+    bus.drain();
+  }
+}
+
 /// The reference: the engine's slot loop written out by hand, with
 /// every copy of every site (every shard copy, every sample copy) given
 /// on_slot_begin at every slot — no due slot is consulted anywhere.
@@ -361,15 +376,7 @@ RunRecord run_every_slot(const core::SystemConfig& config,
   for (sim::Slot t = 0; next < arrivals.size(); ++t) {
     bus.set_now(t);
     bus.drain();
-    for (std::uint32_t i = 0; i < config.num_sites; ++i) {
-      for (std::uint32_t shard = 0; shard < system.num_shards(); ++shard) {
-        core::MultiSlidingSite& site = system.site(i, shard);
-        for (std::size_t j = 0; j < site.num_copies(); ++j) {
-          site.copy(j).on_slot_begin(t, bus);
-        }
-      }
-      bus.drain();
-    }
+    wake_every_copy(system, t);
     for (; next < arrivals.size() && arrivals[next].slot == t; ++next) {
       const sim::Arrival& a = arrivals[next];
       system.site(a.site, system.router().owner(a.element))
@@ -448,21 +455,6 @@ INSTANTIATE_TEST_SUITE_P(
 // --------------------------------------------------- through recovery --
 
 using SlotArrivals = std::vector<std::pair<sim::NodeId, stream::Element>>;
-
-/// Wakes every copy of every site (every shard copy, every sample copy)
-/// at slot t, draining after each site like the engine does.
-void wake_every_copy(core::SlidingSystem& system, sim::Slot t) {
-  net::Transport& bus = system.bus();
-  for (std::uint32_t i = 0; i < system.num_sites(); ++i) {
-    for (std::uint32_t shard = 0; shard < system.num_shards(); ++shard) {
-      core::MultiSlidingSite& site = system.site(i, shard);
-      for (std::size_t j = 0; j < site.num_copies(); ++j) {
-        site.copy(j).on_slot_begin(t, bus);
-      }
-    }
-    bus.drain();
-  }
-}
 
 /// One run() call written out by hand: SerialEngine::run over one
 /// slot's arrivals, except that each slot begun wakes every copy.
